@@ -7,124 +7,23 @@ signed-diagonal structure) for every oracle kind.  The ``bvlab`` console
 script fronts the same machinery.
 """
 
-from .bitstring import BitString, all_bitstrings, basis_e, basis_k
-from .errors import CapacityError, DimensionMismatchError, NotDeterministicError
-from .oracles import (
-    DENSE_QUBIT_CAP,
-    OracleKind,
-    apply_oracle,
-    apply_phase_oracle,
-    apply_single_xor_oracle,
-    apply_standard_bv,
-    apply_toffoli_oracle,
-    apply_two_register_oracle,
-    oracle_dense_matrix,
-)
-from .pipelines import (
-    PhaseAnalysis,
-    RunReport,
-    StageCheck,
-    analyze_bva_on_pi,
-    ccnot_entanglement_spectrum,
-    distribution_table,
-    run_all,
-    run_bva,
-    run_ccnot_bva,
-    run_pi,
-    run_single_oracle_bva,
-)
-from .statevector import (
-    DUMP_EPS,
-    StateVector,
-    apply_hadamard,
-    apply_hadamard_layer,
-    basis_state,
-    check_hermitian,
-    check_permutation,
-    check_signed_diagonal,
-    check_unitary,
-    dump_state,
-    hadamard_of_key,
-    marginal,
-    measure_certain,
-    sample,
-    split_singular_values,
-    state_close,
-    state_close_up_to_global_phase,
-    state_delta,
-    tensor,
-)
-from .truthtable import (
-    MAX_ARITY,
-    BooleanFunction,
-    bv_function,
-    classical_bv_solve,
-    classical_pi_solve,
-    dump_table,
-    load_table,
-    pi_function,
-    recover_key_if_bv,
-    two_key_function,
-)
+from . import bitstring, errors, oracles, pipelines, statevector, truthtable
+from .bitstring import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .oracles import *  # noqa: F401,F403
+from .pipelines import *  # noqa: F401,F403
+from .statevector import *  # noqa: F401,F403
+from .truthtable import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# Each module names its public API once, in its own __all__.
 __all__ = [
-    "BitString",
-    "all_bitstrings",
-    "basis_e",
-    "basis_k",
-    "CapacityError",
-    "DimensionMismatchError",
-    "NotDeterministicError",
-    "BooleanFunction",
-    "MAX_ARITY",
-    "bv_function",
-    "pi_function",
-    "two_key_function",
-    "classical_bv_solve",
-    "classical_pi_solve",
-    "recover_key_if_bv",
-    "load_table",
-    "dump_table",
-    "StateVector",
-    "basis_state",
-    "apply_hadamard",
-    "apply_hadamard_layer",
-    "hadamard_of_key",
-    "tensor",
-    "marginal",
-    "measure_certain",
-    "sample",
-    "state_delta",
-    "state_close",
-    "state_close_up_to_global_phase",
-    "check_unitary",
-    "check_hermitian",
-    "check_permutation",
-    "check_signed_diagonal",
-    "split_singular_values",
-    "dump_state",
-    "DUMP_EPS",
-    "OracleKind",
-    "DENSE_QUBIT_CAP",
-    "apply_oracle",
-    "apply_standard_bv",
-    "apply_toffoli_oracle",
-    "apply_phase_oracle",
-    "apply_two_register_oracle",
-    "apply_single_xor_oracle",
-    "oracle_dense_matrix",
-    "StageCheck",
-    "RunReport",
-    "PhaseAnalysis",
-    "run_bva",
-    "run_ccnot_bva",
-    "run_pi",
-    "run_single_oracle_bva",
-    "analyze_bva_on_pi",
-    "run_all",
-    "ccnot_entanglement_spectrum",
-    "distribution_table",
+    *bitstring.__all__,
+    *errors.__all__,
+    *truthtable.__all__,
+    *statevector.__all__,
+    *oracles.__all__,
+    *pipelines.__all__,
     "__version__",
 ]

@@ -45,9 +45,12 @@ from .statevector import (
     check_permutation,
     check_signed_diagonal,
     check_unitary,
+    draw,
     dump_state,
 )
-from .truthtable import BooleanFunction, bv_function, load_table, pi_function
+from .truthtable import BooleanFunction, load_table
+# Unused here, but benchmarks/tracing.py swaps these names on this module.
+from .truthtable import bv_function, pi_function  # noqa: F401
 
 __all__ = ["main", "build_parser"]
 
@@ -56,8 +59,6 @@ TRACE_CAP = 8
 CERTIFY_EXHAUSTIVE_CAP = 3
 CERTIFY_RANDOM_ARITY = 4
 CERTIFY_RANDOM_COUNT = 100
-
-_ALGORITHM_ORDER = ("bva", "ccnot-bva", "pi", "single-oracle-bva")
 
 
 def _emit(text: str, output_path: Optional[str]) -> None:
@@ -83,10 +84,6 @@ def _distribution_lines(table: dict[str, float], indent: str = "  ") -> list[str
 
 
 # ---------------------------------------------------------------- run
-
-
-def _promise_maker(algorithm: str):
-    return pi_function if algorithm == "pi" else bv_function
 
 
 def _run_text(doc: dict) -> str:
@@ -125,12 +122,13 @@ def _run_text(doc: dict) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    pipeline, make = ALGORITHMS[args.algorithm]
     if args.gamma is not None:
         try:
             gamma: Optional[BitString] = BitString.parse(args.gamma)
         except ValueError as err:
             return _usage_error(str(err))
-        f = _promise_maker(args.algorithm)(gamma)
+        f = make(gamma)
     else:
         try:
             f = load_table(Path(args.table).read_text())
@@ -140,7 +138,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             return _usage_error(f"bad table file: {err}")
         gamma = None
 
-    pipeline, _ = ALGORITHMS[args.algorithm]
     report: RunReport = pipeline(f, tol=args.tolerance)
     doc = report.to_dict()
 
@@ -150,16 +147,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         status = 0 if doc["matches"] else 1
     else:
         verified = report.recovered is not None and np.array_equal(
-            _promise_maker(args.algorithm)(report.recovered).table, f.table
+            make(report.recovered).table, f.table
         )
         doc["promise_verified"] = bool(verified)
         status = 0 if verified else 1
 
     if args.seed is not None:
-        probs = report.top_distribution
-        rng = np.random.default_rng(args.seed)
-        v = int(rng.choice(probs.size, p=probs / probs.sum()))
-        doc["sample"] = str(BitString.from_int(report.n, v))
+        doc["sample"] = str(draw(report.top_distribution, report.n, args.seed))
 
     _emit(_render(doc, args.format, _run_text), args.output)
     return status
@@ -235,10 +229,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
     }
     all_passed = True
     for kind in OracleKind:
-        structure = "signed-diagonal" if kind is OracleKind.PHASE else "permutation"
+        structure_check = {
+            "permutation": check_permutation,
+            "signed-diagonal": check_signed_diagonal,
+        }[kind.structure]
         entry = {
             "qubits": kind.qubit_count(args.n),
-            "structure": structure,
+            "structure": kind.structure,
             "unitary_failures": 0,
             "hermitian_failures": 0,
             "structure_failures": 0,
@@ -252,12 +249,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 entry["unitary_failures"] += 1
             if not check_hermitian(matrix, tol=args.tolerance):
                 entry["hermitian_failures"] += 1
-            structure_ok = (
-                check_signed_diagonal(matrix, tol=args.tolerance)
-                if kind is OracleKind.PHASE
-                else check_permutation(matrix, tol=args.tolerance)
-            )
-            if not structure_ok:
+            if not structure_check(matrix, tol=args.tolerance):
                 entry["structure_failures"] += 1
         if (
             entry["unitary_failures"]
@@ -327,7 +319,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         results = [sweep_one(g) for g in keys]
 
     per_algorithm = {
-        name: {"successes": 0, "oracle_calls": 0} for name in _ALGORITHM_ORDER
+        name: {"successes": 0, "oracle_calls": 0} for name in ALGORITHMS
     }
     failures = []
     for gamma, reports in zip(keys, results):
@@ -347,7 +339,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     }
                 )
     successes = sum(e["successes"] for e in per_algorithm.values())
-    runs = 4 * len(keys)
+    runs = len(ALGORITHMS) * len(keys)
     doc = {
         "n": args.n,
         "keys": len(keys),
@@ -455,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one pipeline")
     run.add_argument(
         "--algorithm",
-        choices=_ALGORITHM_ORDER,
+        choices=tuple(ALGORITHMS),
         required=True,
         help="which pipeline to execute",
     )
@@ -494,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", help="dump every stage of one run")
     trace.add_argument(
-        "--algorithm", choices=_ALGORITHM_ORDER, required=True
+        "--algorithm", choices=tuple(ALGORITHMS), required=True
     )
     trace.add_argument("--gamma", required=True, help="hidden key bit string")
     _add_common(trace, 1e-9)

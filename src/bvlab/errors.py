@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["DimensionMismatchError", "CapacityError", "NotDeterministicError"]
+
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible lengths or register layouts."""

@@ -4,7 +4,12 @@ Every oracle here is classical on basis labels: it permutes amplitudes (or
 flips their signs) according to a truth-table read, so application costs
 O(2**m) instead of the O(4**m) of a matrix product.  The dense-matrix path
 exists only for verification of unitarity, self-adjointness, and
-permutation structure on small registers.
+permutation or signed-diagonal structure on small registers.
+
+One table, ``_ORACLES``, holds each kind's kernel, its register width for
+arity n, and the structure its dense matrix must have.  ``apply_oracle``
+checks the layout against that width and runs the kernel; the five
+``apply_*`` functions are named shortcuts to it.
 
 Register layouts (qubit 0 topmost / most significant):
 
@@ -52,13 +57,12 @@ class OracleKind(Enum):
 
     def qubit_count(self, n: int) -> int:
         """Total register width for a function of arity n."""
-        return {
-            OracleKind.STANDARD_BV: n + 1,
-            OracleKind.TOFFOLI: n + 2,
-            OracleKind.PHASE: n + 1,
-            OracleKind.TWO_REGISTER: 2 * n + 1,
-            OracleKind.SINGLE_XOR: n + 2,
-        }[self]
+        return _ORACLES[self][1](n)
+
+    @property
+    def structure(self) -> str:
+        """Shape of the dense matrix: "permutation" or "signed-diagonal"."""
+        return _ORACLES[self][2]
 
 
 def _standard_bv_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
@@ -98,19 +102,42 @@ def _single_xor_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     blocks[zeros, 1] = blocks[zeros, 1][:, ::-1]
 
 
-def _require_layout(state: StateVector, f: BooleanFunction, expected: int) -> None:
-    if state.qubits != expected:
+# Kind -> (kernel, register width for arity n, dense-matrix structure).
+_ORACLES = {
+    OracleKind.STANDARD_BV: (_standard_bv_kernel, lambda n: n + 1, "permutation"),
+    OracleKind.TOFFOLI: (_toffoli_kernel, lambda n: n + 2, "permutation"),
+    OracleKind.PHASE: (_phase_kernel, lambda n: n + 1, "signed-diagonal"),
+    OracleKind.TWO_REGISTER: (_two_register_kernel, lambda n: 2 * n + 1, "permutation"),
+    OracleKind.SINGLE_XOR: (_single_xor_kernel, lambda n: n + 2, "permutation"),
+}
+
+
+def apply_oracle(kind: OracleKind, state: StateVector, f: BooleanFunction) -> StateVector:
+    """Apply the oracle of the given kind in place after checking the layout.
+
+    Every kind needs exactly its register width, except the phase oracle,
+    which needs at least its width (see apply_phase_oracle).
+    """
+    kernel, width, _ = _ORACLES[kind]
+    need = width(f.arity)
+    if kind is OracleKind.PHASE:
+        if state.qubits < need:
+            raise DimensionMismatchError(
+                f"phase oracle for arity {f.arity} needs at least {need} "
+                f"qubits, state has {state.qubits}"
+            )
+    elif state.qubits != need:
         raise DimensionMismatchError(
-            f"oracle for arity {f.arity} needs {expected} qubits, "
+            f"oracle for arity {f.arity} needs {need} qubits, "
             f"state has {state.qubits}"
         )
+    kernel(state.amps, f.arity, f.table)
+    return state
 
 
 def apply_standard_bv(state: StateVector, f: BooleanFunction) -> StateVector:
     """XOR f(x) into the last qubit: (x, y) -> (x, y ^ f(x)).  In place."""
-    _require_layout(state, f, f.arity + 1)
-    _standard_bv_kernel(state.amps, f.arity, f.table)
-    return state
+    return apply_oracle(OracleKind.STANDARD_BV, state, f)
 
 
 def apply_toffoli_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
@@ -119,9 +146,7 @@ def apply_toffoli_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
     The top n qubits hold x, qubit n the control, qubit n+1 the target.
     In place.
     """
-    _require_layout(state, f, f.arity + 2)
-    _toffoli_kernel(state.amps, f.arity, f.table)
-    return state
+    return apply_oracle(OracleKind.TOFFOLI, state, f)
 
 
 def apply_phase_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
@@ -130,13 +155,7 @@ def apply_phase_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
     Acts on qubits 0..n; any further qubits are untouched, so applying it to
     a wider register is the oracle tensored with the identity.
     """
-    if state.qubits < f.arity + 1:
-        raise DimensionMismatchError(
-            f"phase oracle for arity {f.arity} needs at least {f.arity + 1} "
-            f"qubits, state has {state.qubits}"
-        )
-    _phase_kernel(state.amps, f.arity, f.table)
-    return state
+    return apply_oracle(OracleKind.PHASE, state, f)
 
 
 def apply_two_register_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
@@ -144,9 +163,7 @@ def apply_two_register_oracle(state: StateVector, f: BooleanFunction) -> StateVe
 
     Qubits 0..n-1 hold x, n..2n-1 hold y, qubit 2n the target.  In place.
     """
-    _require_layout(state, f, 2 * f.arity + 1)
-    _two_register_kernel(state.amps, f.arity, f.table)
-    return state
+    return apply_oracle(OracleKind.TWO_REGISTER, state, f)
 
 
 def apply_single_xor_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
@@ -154,31 +171,7 @@ def apply_single_xor_oracle(state: StateVector, f: BooleanFunction) -> StateVect
 
     Same layout as the Toffoli-style oracle.  In place.
     """
-    _require_layout(state, f, f.arity + 2)
-    _single_xor_kernel(state.amps, f.arity, f.table)
-    return state
-
-
-_APPLIERS = {
-    OracleKind.STANDARD_BV: apply_standard_bv,
-    OracleKind.TOFFOLI: apply_toffoli_oracle,
-    OracleKind.PHASE: apply_phase_oracle,
-    OracleKind.TWO_REGISTER: apply_two_register_oracle,
-    OracleKind.SINGLE_XOR: apply_single_xor_oracle,
-}
-
-_KERNELS = {
-    OracleKind.STANDARD_BV: _standard_bv_kernel,
-    OracleKind.TOFFOLI: _toffoli_kernel,
-    OracleKind.PHASE: _phase_kernel,
-    OracleKind.TWO_REGISTER: _two_register_kernel,
-    OracleKind.SINGLE_XOR: _single_xor_kernel,
-}
-
-
-def apply_oracle(kind: OracleKind, state: StateVector, f: BooleanFunction) -> StateVector:
-    """Dispatch to the applier for the given kind."""
-    return _APPLIERS[kind](state, f)
+    return apply_oracle(OracleKind.SINGLE_XOR, state, f)
 
 
 def oracle_dense_matrix(kind: OracleKind, f: BooleanFunction) -> np.ndarray:
@@ -193,7 +186,7 @@ def oracle_dense_matrix(kind: OracleKind, f: BooleanFunction) -> np.ndarray:
         )
     dim = 1 << m
     rows = np.eye(dim, dtype=np.complex128)
-    kernel = _KERNELS[kind]
+    kernel = _ORACLES[kind][0]
     for v in range(dim):
         # Row v starts as basis ket v; the kernels run on any contiguous
         # length-2**m array, so fill rows in place and transpose once.

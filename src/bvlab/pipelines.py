@@ -1,11 +1,19 @@
 """End-to-end hidden-key pipelines with stage-by-stage verification.
 
 Four circuits share one recipe: prepare a product basis state, spread it
-with a Hadamard layer, consult an oracle, undo the layer, and read a data
-register that has collapsed onto the hidden key.  Each run returns a
-RunReport carrying the recovered key, the exact output distribution, the
-oracle-call count, and optional per-stage comparisons against closed-form
-references.
+with a Hadamard layer, consult one or two oracles, undo the layer on the
+data registers, and read a data register that has collapsed onto the
+hidden key.  Each run returns a RunReport carrying the recovered key, the
+exact output distribution, the oracle-call count, and optional per-stage
+comparisons against closed-form references.
+
+The recipe is written once.  ``_PIPELINES`` holds one record per
+algorithm: its count of n-qubit data registers, its key reader, the
+single-qubit kets that follow the data block after the first Hadamard
+layer and after the last oracle, and its oracle steps with the closed
+forms checked after each.  ``_circuit`` applies a record's layers and
+``_run`` checks each stage, then reads out.  Each reference is a left fold
+of ``tensor`` over the factors its closed form lists.
 
 Register layouts (qubit 0 topmost, most significant):
 
@@ -23,8 +31,8 @@ nowhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -35,9 +43,10 @@ from .statevector import (
     StateVector,
     apply_hadamard_layer,
     basis_state,
+    certain_outcome,
     hadamard_of_key,
     marginal,
-    measure_certain,
+    measure_certain,  # noqa: F401  not called here; benchmarks/tracing.py swaps it
     split_singular_values,
     state_delta,
     tensor,
@@ -111,15 +120,7 @@ class RunReport:
                 self.middle_distribution, self.n
             )
         if self.stage_checks:
-            doc["stage_checks"] = [
-                {
-                    "stage": c.stage,
-                    "comparator": c.comparator,
-                    "deviation": float(c.deviation),
-                    "ok": c.ok,
-                }
-                for c in self.stage_checks
-            ]
+            doc["stage_checks"] = [asdict(c) for c in self.stage_checks]
         if self.failure is not None:
             doc["failure"] = self.failure
         return doc
@@ -134,49 +135,13 @@ def distribution_table(probs: np.ndarray, width: int) -> dict[str, float]:
     return out
 
 
-class _StageRecorder:
-    """Collects per-stage comparisons; optionally keeps state copies."""
-
-    def __init__(self, record: bool, keep: bool, tol: float) -> None:
-        self.record = record
-        self.keep = keep
-        self.tol = tol
-        self.checks: list[StageCheck] = []
-        self.states: dict[str, StateVector] = {}
-
-    def note(
-        self,
-        stage: str,
-        state: StateVector,
-        reference: StateVector,
-        comparator: str = "exact",
-    ) -> None:
-        if self.keep and stage not in self.states:
-            self.states[stage] = state.copy()
-        deviation = state_delta(state, reference)
-        self.checks.append(
-            StageCheck(stage, comparator, deviation, deviation <= self.tol)
-        )
-
-
-def _ket(bit: int) -> StateVector:
-    amps = np.zeros(2, dtype=np.complex128)
-    amps[bit] = 1.0
-    return StateVector(1, amps)
-
-
-def _ket_plus() -> StateVector:
+def _kets(signs: str) -> list[StateVector]:
+    """One single-qubit ket per sign: "+" for |+>, "-" for |->."""
     r = 2.0**-0.5
-    return StateVector(1, np.array([r, r], dtype=np.complex128))
-
-
-def _ket_minus() -> StateVector:
-    r = 2.0**-0.5
-    return StateVector(1, np.array([r, -r], dtype=np.complex128))
-
-
-def _uniform(n: int) -> StateVector:
-    return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128))
+    return [
+        StateVector(1, np.array([r, r if s == "+" else -r], dtype=np.complex128))
+        for s in signs
+    ]
 
 
 def _weight1_read_key(f: BooleanFunction) -> BitString:
@@ -191,8 +156,31 @@ def _complement_read_key(f: BooleanFunction) -> BitString:
     return BitString.of(int(f.table[basis_k(n, j).to_int()]) for j in range(n))
 
 
-def _signed_pair_state(f: BooleanFunction) -> StateVector:
-    """Closed form of the data+control block after the flip oracle.
+# Closed forms.  Each maps (record, table, expected key) to the factors
+# whose left fold by tensor is the whole state at one stage.
+
+
+def _initial(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
+    start = p.start(f.arity)
+    return [basis_state(len(start), start)]
+
+
+def _spread(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
+    m = p.registers * f.arity
+    uniform = np.full(1 << m, 2.0 ** (-m / 2.0), dtype=np.complex128)
+    return [StateVector(m, uniform), *_kets(p.spread)]
+
+
+def _key_phase(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
+    return [hadamard_of_key(f.arity, key)] * p.registers + _kets(p.tail)
+
+
+def _key_basis(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
+    return [basis_state(f.arity, key)] * p.registers + _kets(p.tail)
+
+
+def _signed_pair(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
+    """The data+control block after the flip oracle, then the target.
 
     For each x the control doublet is (|x 0> + (-1)**f(x) |x 1>) / sqrt(2),
     built directly from the truth table.
@@ -201,11 +189,14 @@ def _signed_pair_state(f: BooleanFunction) -> StateVector:
     block = np.empty((1 << n, 2), dtype=np.complex128)
     block[:, 0] = 1.0
     block[:, 1] = 1.0 - 2.0 * f.table.astype(np.float64)
-    return StateVector(n + 1, block.reshape(-1) * 2.0 ** (-(n + 1) / 2.0))
+    pairs = StateVector(n + 1, block.reshape(-1) * 2.0 ** (-(n + 1) / 2.0))
+    return [pairs, *_kets("-")]
 
 
-def _pairwise_sign_state(f: BooleanFunction) -> StateVector:
-    """Closed form of the two-register block: sign (-1)**(f(x) xor f(y)).
+def _pairwise_sign(
+    p: _Pipeline, f: BooleanFunction, key: BitString
+) -> list[StateVector]:
+    """The two-register block, sign (-1)**(f(x) xor f(y)), then the target.
 
     Uses the exact identity (-1)**(a xor b) == (-1)**a * (-1)**b for bits,
     so the reference depends on the table alone.
@@ -213,36 +204,124 @@ def _pairwise_sign_state(f: BooleanFunction) -> StateVector:
     n = f.arity
     signs = 1.0 - 2.0 * f.table.astype(np.float64)
     block = np.multiply.outer(signs, signs).reshape(-1) / float(1 << n)
-    return StateVector(2 * n, block.astype(np.complex128))
+    return [StateVector(2 * n, block.astype(np.complex128)), *_kets("-")]
 
 
-def _finish(
+@dataclass(frozen=True)
+class _Pipeline:
+    """One circuit of the recipe.
+
+    registers  count of n-qubit data registers; the last Hadamard layer
+               covers exactly these
+    read_key   reads the expected key off the truth table for references
+    spread     the kets ("+" or "-") after the data block once the first
+               Hadamard layer has run; a qubit starts in 0 for "+", 1 for "-"
+    tail       the kets after the data block once the last oracle has run
+    steps      the oracle consultations in order: (kind, stage, forms),
+               the forms being (comparator, closed form) pairs checked there
+    """
+
+    registers: int
+    read_key: Callable[[BooleanFunction], BitString]
+    spread: str
+    tail: str
+    steps: tuple[tuple[OracleKind, str, tuple[tuple[str, Callable], ...]], ...]
+
+    def start(self, n: int) -> BitString:
+        data = [0] * (self.registers * n)
+        return BitString.of(data + [int(s == "-") for s in self.spread])
+
+
+_PIPELINES = {
+    "bva": _Pipeline(1, _weight1_read_key, "-", "-", (
+        (OracleKind.STANDARD_BV, "after-oracle", (("exact", _key_phase),)),
+    )),
+    "ccnot-bva": _Pipeline(1, _weight1_read_key, "+-", "+-", (
+        (OracleKind.TOFFOLI, "after-flip-oracle", (("exact", _signed_pair),)),
+        (OracleKind.PHASE, "after-phase-oracle", (("exact", _key_phase),)),
+    )),
+    "pi": _Pipeline(2, _complement_read_key, "-", "-", (
+        (OracleKind.TWO_REGISTER, "after-oracle", (
+            ("exact (pairwise-sign sum)", _pairwise_sign),
+            ("exact (factorized product)", _key_phase),
+        )),
+    )),
+    "single-oracle-bva": _Pipeline(1, _weight1_read_key, "+-", "--", (
+        (OracleKind.SINGLE_XOR, "after-oracle", (("exact", _key_phase),)),
+    )),
+}
+
+
+def _circuit(
+    p: _Pipeline, f: BooleanFunction
+) -> Iterator[tuple[str, tuple, StateVector]]:
+    """Yield (stage, forms, live state) after each layer of the circuit."""
+    n = f.arity
+    start = p.start(n)
+    state = basis_state(len(start), start)
+    yield "initial", (("exact", _initial),), state
+    apply_hadamard_layer(state, range(state.qubits))
+    yield "after-h-layer", (("exact", _spread),), state
+    for kind, stage, forms in p.steps:
+        apply_oracle(kind, state, f)
+        yield stage, forms, state
+    apply_hadamard_layer(state, range(p.registers * n))
+    yield "final", (("exact", _key_basis),), state
+
+
+def _state_after(algorithm: str, f: BooleanFunction, stop: str) -> StateVector:
+    """Run the circuit up to and including the named stage, unchecked."""
+    layers = _circuit(_PIPELINES[algorithm], f)
+    return next(state for stage, _, state in layers if stage == stop)
+
+
+def _fold(factors: list[StateVector]) -> StateVector:
+    """Left fold of tensor over the factors, in their order."""
+    whole = factors[0]
+    for factor in factors[1:]:
+        whole = tensor(whole, factor)
+    return whole
+
+
+def _run(
     algorithm: str,
-    n: int,
-    state: StateVector,
-    rec: _StageRecorder,
-    oracle_calls: int,
-    middle_qubits: Optional[Sequence[int]] = None,
+    f: BooleanFunction,
+    record_stages: bool,
+    keep_states: bool,
+    tol: float,
 ) -> RunReport:
+    """Apply one record's circuit, check each stage if asked, and read out."""
+    p = _PIPELINES[algorithm]
+    n = f.arity
+    key = p.read_key(f) if record_stages else None
+    checks: list[StageCheck] = []
+    states: dict[str, StateVector] = {}
+    for stage, forms, state in _circuit(p, f):
+        if not record_stages:
+            continue
+        if keep_states:
+            states[stage] = state.copy()
+        for comparator, form in forms:
+            deviation = state_delta(state, _fold(form(p, f, key)))
+            checks.append(StageCheck(stage, comparator, deviation, deviation <= tol))
     top = marginal(state, range(n))
-    middle = marginal(state, middle_qubits) if middle_qubits is not None else None
+    middle = marginal(state, range(n, 2 * n)) if p.registers == 2 else None
     try:
-        recovered: Optional[BitString] = measure_certain(state, range(n), tol=rec.tol)
+        recovered: Optional[BitString] = certain_outcome(top, n, tol)
         failure = None
     except NotDeterministicError as err:
-        recovered = None
-        failure = str(err)
+        recovered, failure = None, str(err)
     return RunReport(
         algorithm=algorithm,
         n=n,
         qubits=state.qubits,
-        oracle_calls=oracle_calls,
+        oracle_calls=len(p.steps),
         recovered=recovered,
         top_distribution=top,
         middle_distribution=middle,
-        stage_checks=tuple(rec.checks),
+        stage_checks=tuple(checks),
         failure=failure,
-        states=rec.states,
+        states=states,
     )
 
 
@@ -258,26 +337,7 @@ def run_bva(
     Prepare |0...0 1>, spread with a full Hadamard layer, apply the flip
     oracle once, undo the layer on the data register, read the key.
     """
-    n = f.arity
-    rec = _StageRecorder(record_stages, keep_states, tol)
-    start = BitString.of([0] * n + [1])
-    state = basis_state(n + 1, start)
-    if rec.record:
-        rec.note("initial", state, basis_state(n + 1, start))
-    apply_hadamard_layer(state, range(n + 1))
-    if rec.record:
-        rec.note("after-h-layer", state, tensor(_uniform(n), _ket_minus()))
-    apply_oracle(OracleKind.STANDARD_BV, state, f)
-    if rec.record:
-        key = _weight1_read_key(f)
-        rec.note(
-            "after-oracle", state, tensor(hadamard_of_key(n, key), _ket_minus())
-        )
-    apply_hadamard_layer(state, range(n))
-    if rec.record:
-        key = _weight1_read_key(f)
-        rec.note("final", state, tensor(basis_state(n, key), _ket_minus()))
-    return _finish("bva", n, state, rec, oracle_calls=1)
+    return _run("bva", f, record_stages, keep_states, tol)
 
 
 def run_ccnot_bva(
@@ -293,43 +353,7 @@ def run_ccnot_bva(
     then turns the entanglement back into a clean sign pattern on the data
     register.  Both consultations count.
     """
-    n = f.arity
-    rec = _StageRecorder(record_stages, keep_states, tol)
-    start = BitString.of([0] * n + [0, 1])
-    state = basis_state(n + 2, start)
-    if rec.record:
-        rec.note("initial", state, basis_state(n + 2, start))
-    apply_hadamard_layer(state, range(n + 2))
-    if rec.record:
-        rec.note(
-            "after-h-layer",
-            state,
-            tensor(tensor(_uniform(n), _ket_plus()), _ket_minus()),
-        )
-    apply_oracle(OracleKind.TOFFOLI, state, f)
-    if rec.record:
-        rec.note(
-            "after-flip-oracle",
-            state,
-            tensor(_signed_pair_state(f), _ket_minus()),
-        )
-    apply_oracle(OracleKind.PHASE, state, f)
-    if rec.record:
-        key = _weight1_read_key(f)
-        rec.note(
-            "after-phase-oracle",
-            state,
-            tensor(tensor(hadamard_of_key(n, key), _ket_plus()), _ket_minus()),
-        )
-    apply_hadamard_layer(state, range(n))
-    if rec.record:
-        key = _weight1_read_key(f)
-        rec.note(
-            "final",
-            state,
-            tensor(tensor(basis_state(n, key), _ket_plus()), _ket_minus()),
-        )
-    return _finish("ccnot-bva", n, state, rec, oracle_calls=2)
+    return _run("ccnot-bva", f, record_stages, keep_states, tol)
 
 
 def run_pi(
@@ -347,39 +371,7 @@ def run_pi(
     layer therefore covers both registers, so either read-out yields the
     key; the report carries the middle marginal alongside the top one.
     """
-    n = f.arity
-    rec = _StageRecorder(record_stages, keep_states, tol)
-    start = BitString.of([0] * (2 * n) + [1])
-    state = basis_state(2 * n + 1, start)
-    if rec.record:
-        rec.note("initial", state, basis_state(2 * n + 1, start))
-    apply_hadamard_layer(state, range(2 * n + 1))
-    if rec.record:
-        rec.note("after-h-layer", state, tensor(_uniform(2 * n), _ket_minus()))
-    apply_oracle(OracleKind.TWO_REGISTER, state, f)
-    if rec.record:
-        rec.note(
-            "after-oracle",
-            state,
-            tensor(_pairwise_sign_state(f), _ket_minus()),
-            comparator="exact (pairwise-sign sum)",
-        )
-        key = _complement_read_key(f)
-        half = hadamard_of_key(n, key)
-        rec.note(
-            "after-oracle",
-            state,
-            tensor(tensor(half, half), _ket_minus()),
-            comparator="exact (factorized product)",
-        )
-    apply_hadamard_layer(state, range(2 * n))
-    if rec.record:
-        key = _complement_read_key(f)
-        ket = basis_state(n, key)
-        rec.note("final", state, tensor(tensor(ket, ket), _ket_minus()))
-    return _finish(
-        "pi", n, state, rec, oracle_calls=1, middle_qubits=range(n, 2 * n)
-    )
+    return _run("pi", f, record_stages, keep_states, tol)
 
 
 def run_single_oracle_bva(
@@ -396,36 +388,7 @@ def run_single_oracle_bva(
     sign patterns; the control collapses to minus while the data register
     carries the key.
     """
-    n = f.arity
-    rec = _StageRecorder(record_stages, keep_states, tol)
-    start = BitString.of([0] * n + [0, 1])
-    state = basis_state(n + 2, start)
-    if rec.record:
-        rec.note("initial", state, basis_state(n + 2, start))
-    apply_hadamard_layer(state, range(n + 2))
-    if rec.record:
-        rec.note(
-            "after-h-layer",
-            state,
-            tensor(tensor(_uniform(n), _ket_plus()), _ket_minus()),
-        )
-    apply_oracle(OracleKind.SINGLE_XOR, state, f)
-    if rec.record:
-        key = _weight1_read_key(f)
-        rec.note(
-            "after-oracle",
-            state,
-            tensor(tensor(hadamard_of_key(n, key), _ket_minus()), _ket_minus()),
-        )
-    apply_hadamard_layer(state, range(n))
-    if rec.record:
-        key = _weight1_read_key(f)
-        rec.note(
-            "final",
-            state,
-            tensor(tensor(basis_state(n, key), _ket_minus()), _ket_minus()),
-        )
-    return _finish("single-oracle-bva", n, state, rec, oracle_calls=1)
+    return _run("single-oracle-bva", f, record_stages, keep_states, tol)
 
 
 @dataclass(frozen=True)
@@ -468,11 +431,7 @@ def analyze_bva_on_pi(gamma: BitString, tol: float = 1e-9) -> PhaseAnalysis:
     plain-parity outcome.
     """
     n = len(gamma)
-    f = pi_function(gamma)
-    state = basis_state(n + 1, BitString.of([0] * n + [1]))
-    apply_hadamard_layer(state, range(n + 1))
-    apply_oracle(OracleKind.STANDARD_BV, state, f)
-    apply_hadamard_layer(state, range(n))
+    state = _state_after("bva", pi_function(gamma), "final")
     top = marginal(state, range(n))
     peak = int(np.argmax(top))
     # Plain-parity amplitude at (gamma, 0) would be +1/sqrt(2); the ratio
@@ -500,9 +459,7 @@ def ccnot_entanglement_spectrum(f: BooleanFunction) -> np.ndarray:
     a zero key leaves a single value of 1.
     """
     n = f.arity
-    state = basis_state(n + 2, BitString.of([0] * n + [0, 1]))
-    apply_hadamard_layer(state, range(n + 2))
-    apply_oracle(OracleKind.TOFFOLI, state, f)
+    state = _state_after("ccnot-bva", f, "after-flip-oracle")
     block = state.amps.reshape(-1, 2)[:, 0] * np.sqrt(2.0)
     return split_singular_values(StateVector(n + 1, block), n)
 
@@ -523,15 +480,12 @@ def run_all(
     tol: float = 1e-9,
 ) -> list[RunReport]:
     """Run all four pipelines on the promises planted for one key."""
-    reports = []
-    for name in ("bva", "ccnot-bva", "pi", "single-oracle-bva"):
-        pipeline, make = ALGORITHMS[name]
-        reports.append(
-            pipeline(
-                make(gamma),
-                record_stages=record_stages,
-                keep_states=keep_states,
-                tol=tol,
-            )
+    return [
+        pipeline(
+            make(gamma),
+            record_stages=record_stages,
+            keep_states=keep_states,
+            tol=tol,
         )
-    return reports
+        for pipeline, make in ALGORITHMS.values()
+    ]

@@ -31,7 +31,9 @@ __all__ = [
     "tensor",
     "marginal",
     "measure_certain",
+    "certain_outcome",
     "sample",
+    "draw",
     "state_delta",
     "state_close",
     "state_close_up_to_global_phase",
@@ -165,23 +167,30 @@ def measure_certain(
     signals an algorithm-correctness failure rather than sampling noise.
     """
     sel = list(qubits)
-    probs = marginal(state, sel)
+    return certain_outcome(marginal(state, sel), len(sel), tol)
+
+
+def certain_outcome(probs: np.ndarray, width: int, tol: float = 1e-9) -> BitString:
+    """measure_certain on an outcome table already computed by marginal."""
     winner = int(np.argmax(probs))
     if probs[winner] < 1.0 - tol:
         raise NotDeterministicError(
             f"largest outcome mass {probs[winner]:.12f} < 1 - {tol:g}"
         )
-    return BitString.from_int(len(sel), winner)
+    return BitString.from_int(width, winner)
 
 
 def sample(state: StateVector, qubits: Sequence[int], seed: int) -> BitString:
     """Draw one outcome from the marginal with a seeded generator."""
     sel = list(qubits)
-    probs = marginal(state, sel)
-    probs = probs / probs.sum()
+    return draw(marginal(state, sel), len(sel), seed)
+
+
+def draw(probs: np.ndarray, width: int, seed: int) -> BitString:
+    """sample on an outcome table already computed by marginal."""
     rng = np.random.default_rng(seed)
-    outcome = int(rng.choice(probs.size, p=probs))
-    return BitString.from_int(len(sel), outcome)
+    outcome = int(rng.choice(probs.size, p=probs / probs.sum()))
+    return BitString.from_int(width, outcome)
 
 
 def _check_same_size(a: StateVector, b: StateVector) -> None:

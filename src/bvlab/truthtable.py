@@ -32,6 +32,13 @@ __all__ = [
 MAX_ARITY = 24
 
 
+def _indices(n: int) -> np.ndarray:
+    """Every table index for arity n; refuses an oversize arity before allocating."""
+    if n > MAX_ARITY:
+        raise CapacityError(f"arity {n} exceeds limit {MAX_ARITY}")
+    return np.arange(1 << n, dtype=np.uint64)
+
+
 def _parity_of(values: np.ndarray) -> np.ndarray:
     """Per-element popcount parity of a uint64 array."""
     return (np.bitwise_count(values) & 1).astype(np.uint8)
@@ -94,18 +101,13 @@ class BooleanFunction:
 
 def bv_function(gamma: BitString) -> BooleanFunction:
     """f(x) = dot(x, gamma): the parity of x masked by the hidden string."""
-    n = len(gamma)
     g = gamma.to_int()
-    indices = np.arange(1 << n, dtype=np.uint64)
-    return BooleanFunction(_parity_of(indices & np.uint64(g)))
+    return BooleanFunction(_parity_of(_indices(len(gamma)) & np.uint64(g)))
 
 
 def pi_function(gamma: BitString) -> BooleanFunction:
     """f(x) = dot(x XOR gamma, gamma): the key-shifted masked parity."""
-    n = len(gamma)
-    g = np.uint64(gamma.to_int())
-    indices = np.arange(1 << n, dtype=np.uint64)
-    return BooleanFunction(_parity_of((indices ^ g) & g))
+    return two_key_function(gamma, gamma)
 
 
 def two_key_function(gamma: BitString, lam: BitString) -> BooleanFunction:
@@ -116,8 +118,7 @@ def two_key_function(gamma: BitString, lam: BitString) -> BooleanFunction:
         )
     g = np.uint64(gamma.to_int())
     l = np.uint64(lam.to_int())
-    indices = np.arange(1 << len(gamma), dtype=np.uint64)
-    return BooleanFunction(_parity_of((indices ^ g) & l))
+    return BooleanFunction(_parity_of((_indices(len(gamma)) ^ g) & l))
 
 
 def classical_bv_solve(f: BooleanFunction) -> BitString:

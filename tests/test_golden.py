@@ -32,7 +32,7 @@ from bvlab.truthtable import bv_function, dump_table
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-# A table that breaks every promise: AND has a uniform top marginal.
+# AND keeps no algorithm's promise, so every run of it exits 1.
 AND_TABLE = "arity 2\n0001\n"
 
 

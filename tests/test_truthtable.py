@@ -1,5 +1,7 @@
 """Truth tables: planted promises, classical solvers, query counting, io."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,23 @@ def test_table_validation():
     with pytest.raises(CapacityError):
         BooleanFunction(np.zeros(4, dtype=np.uint8), arity_limit=1)
     assert MAX_ARITY == 24
+
+
+@pytest.mark.parametrize(
+    "make",
+    [bv_function, pi_function, lambda g: two_key_function(g, g)],
+    ids=["bv", "pi", "two-key"],
+)
+def test_oversize_key_is_refused_before_allocating(make):
+    wide = BitString.zeros(MAX_ARITY + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"arity 25 exceeds limit {MAX_ARITY}"):
+            make(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_evaluate_matches_table_indexing():
