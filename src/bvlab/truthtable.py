@@ -161,6 +161,15 @@ def load_table(text: str) -> BooleanFunction:
     Line 1 is ``arity n``; line 2 is the 2**n table bits as one contiguous
     0/1 string in index order.  Anything else is rejected.
     """
+    return BooleanFunction(np.frombuffer(_table_line(text), dtype=np.uint8) - ord("0"))
+
+
+def _table_line(text: str) -> bytes:
+    """The checked table line of ``load_table``, as ASCII bytes.
+
+    Its characters are counted, not iterated, and its text copy dies on
+    return, so loading peaks near two bytes per table entry.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) != 2:
         raise ValueError(f"expected 2 non-empty lines, got {len(lines)}")
@@ -173,9 +182,9 @@ def load_table(text: str) -> BooleanFunction:
     bits = lines[1].strip()
     if len(bits) != (1 << n):
         raise ValueError(f"table line has {len(bits)} bits, expected {1 << n}")
-    if any(c not in "01" for c in bits):
+    if bits.count("0") + bits.count("1") != len(bits):
         raise ValueError("table line must contain only 0 and 1")
-    return BooleanFunction([1 if c == "1" else 0 for c in bits])
+    return bits.encode("ascii")
 
 
 def dump_table(f: BooleanFunction) -> str:

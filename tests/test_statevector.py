@@ -1,9 +1,15 @@
 """State engine vs dense reference: gates, marginals, checks, dumps."""
 
+import math
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_
 
 import refsim
+from bvlab import statevector
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.errors import DimensionMismatchError, NotDeterministicError
 from bvlab.statevector import (
@@ -33,6 +39,43 @@ def random_state(m, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     return StateVector(m, amps / np.linalg.norm(amps))
+
+
+def signed_zero_state(m, seed):
+    """random_state with about a quarter of each part set to +0.0 or -0.0."""
+    st = random_state(m, seed)
+    rng = np.random.default_rng(seed + 1)
+    for part in (st.amps.real, st.amps.imag):
+        pick = rng.integers(0, 8, size=part.size)
+        part[pick == 0] = 0.0
+        part[pick == 1] = -0.0
+    return st
+
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Both phases of the tiled layer span several tiles from 16 qubits on.
+MAX_M = 18
+
+
+def sweep_layer(amps, qubits):
+    """The per-qubit sweep the tiled layer replaced, kept as its reference."""
+    for q in qubits:
+        pairs = amps.reshape(1 << q, 2, -1)
+        lo = pairs[:, 0, :].copy()
+        hi = pairs[:, 1, :]
+        pairs[:, 0, :] = (lo + hi) * INV_SQRT2
+        pairs[:, 1, :] = (lo - hi) * INV_SQRT2
+
+
+@st_.composite
+def layer_cases(draw):
+    m = draw(st_.integers(1, MAX_M))
+    qubits = sorted(draw(st_.sets(st_.integers(0, m - 1))))
+    return m, draw(st_.integers(0, 2**32 - 1)), qubits
+
+
+def same_bits(x, y):
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def test_statevector_validation():
@@ -76,6 +119,60 @@ def test_hadamard_qubit_range_checked():
         apply_hadamard(st, 2)
     with pytest.raises(IndexError):
         apply_hadamard(st, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layer_cases())
+@example((MAX_M, 1, list(range(MAX_M))))
+@example((16, 2, [0, 7, 8, 15]))
+def test_layer_is_bit_identical_to_the_per_qubit_sweep(case):
+    m, seed, qubits = case
+    assert (1 << MAX_M) >= 8 * statevector._TILE
+    st = signed_zero_state(m, seed)
+    expected = st.amps.copy()
+    sweep_layer(expected, qubits)
+    apply_hadamard_layer(st, qubits)
+    assert same_bits(st.amps, expected)
+
+
+def test_layer_applies_qubits_in_ascending_order():
+    a = signed_zero_state(12, seed=4)
+    b = a.copy()
+    apply_hadamard_layer(a, [5, 2, 11, 8])
+    apply_hadamard_layer(b, [2, 5, 8, 11])
+    assert same_bits(a.amps, b.amps)
+
+
+def test_layer_checks_every_qubit_before_touching_amplitudes():
+    st = random_state(3, seed=2)
+    before = st.amps.copy()
+    for bad in ([0, 3, 1], [1, -1]):
+        with pytest.raises(IndexError):
+            apply_hadamard_layer(st, bad)
+        assert same_bits(st.amps, before)
+
+
+def test_layer_threads_match_serial_runs():
+    rounds = 3
+    states = [random_state(MAX_M, seed=70 + i) for i in range(4)]
+    expected = []
+    for st in states:
+        alone = st.copy()
+        for _ in range(rounds):
+            apply_hadamard_layer(alone, range(MAX_M))
+        expected.append(alone.amps)
+
+    def work(st):
+        for _ in range(rounds):
+            apply_hadamard_layer(st, range(MAX_M))
+
+    # More threads than a small machine has cores, so the per-call buffers
+    # of different states are live at once.
+    with ThreadPoolExecutor(max_workers=len(states)) as pool:
+        for future in [pool.submit(work, st) for st in states]:
+            future.result(timeout=120)
+    for st, amps in zip(states, expected):
+        assert same_bits(st.amps, amps)
 
 
 def test_layer_matches_dense_reference():
@@ -172,6 +269,23 @@ def test_state_comparators():
     )
     with pytest.raises(DimensionMismatchError):
         state_delta(a, basis_state(1, BitString.parse("0")))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st_.integers(1, MAX_M), st_.integers(0, 2**32 - 1))
+def test_state_delta_equals_whole_array_maximum(m, seed):
+    a = signed_zero_state(m, seed)
+    b = signed_zero_state(m, seed + 2)
+    b.amps[: b.amps.size // 2] = a.amps[: a.amps.size // 2]
+    assert state_delta(a, b) == float(np.max(np.abs(a.amps - b.amps)))
+
+
+def test_state_delta_propagates_nan():
+    a = random_state(MAX_M, seed=3)
+    b = a.copy()
+    b.amps[5] = complex(np.nan, 0.0)
+    assert math.isnan(state_delta(a, b))
+    assert not state_close(a, b)
 
 
 def test_matrix_checks():

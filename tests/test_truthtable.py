@@ -153,11 +153,33 @@ def test_table_io_roundtrip():
         "arity 2\n0121\n",
         "arity 0\n\n",
         "arity 2\n0101\nextra\n",
+        "arity 2\n01é1\n",  # non-ASCII, right length
     ],
 )
 def test_table_io_rejects(bad):
     with pytest.raises(ValueError):
         load_table(bad)
+
+
+def test_load_table_peak_is_a_small_multiple_of_the_table():
+    # Arity 20: one byte per entry is 1 MiB of table.
+    text = "arity 20\n" + "01" * (1 << 19) + "\n"
+    tracemalloc.start()
+    try:
+        f = load_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    assert f.arity == 20 and int(f.table.sum()) == 1 << 19
+    assert f.table[:4].tolist() == [0, 1, 0, 1]
+
+
+def test_load_table_messages_keep_their_precedence():
+    with pytest.raises(ValueError, match="table line has 3 bits, expected 4"):
+        load_table("arity 2\n0é1\n")
+    with pytest.raises(ValueError, match="table line must contain only 0 and 1"):
+        load_table("arity 2\n01é1\n")
 
 
 def test_repr_short_and_long():
