@@ -16,7 +16,9 @@ seeds produce byte-identical documents; reports default to JSON, and
 Environment: BVLAB_THREADS caps sweep workers.  BVLAB_TAMPER, a
 ``kind:row:col`` triple, flips one dense-matrix entry during certify and
 exists so the test suite can prove certification actually fails on a
-broken oracle.
+broken oracle.  The kind must be an oracle kind and 0 <= row, col <
+2**qubits, the kind's register width at the certified n; anything else
+exits 2 before a matrix is built.
 """
 
 from __future__ import annotations
@@ -175,11 +177,23 @@ def _certify_functions(n: int, seed: int) -> tuple[str, list[BooleanFunction]]:
     return "random", [BooleanFunction(row) for row in tables]
 
 
-def _parse_tamper(value: str) -> tuple[str, int, int]:
-    parts = value.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"BVLAB_TAMPER must be kind:row:col, got {value!r}")
-    return parts[0], int(parts[1]), int(parts[2])
+def _parse_tamper(value: str, n: int) -> tuple[OracleKind, int, int]:
+    try:
+        name, row_text, col_text = value.split(":")
+        kind, row, col = OracleKind(name), int(row_text), int(col_text)
+    except ValueError:
+        kinds = ", ".join(k.value for k in OracleKind)
+        raise ValueError(
+            f"BVLAB_TAMPER must be kind:row:col with kind one of {kinds}, "
+            f"got {value!r}"
+        ) from None
+    dim = 1 << kind.qubit_count(n)
+    if not (0 <= row < dim and 0 <= col < dim):
+        raise ValueError(
+            f"BVLAB_TAMPER row and col must be in [0, {dim}) for "
+            f"{kind.value} at n={n}, got {value!r}"
+        )
+    return kind, row, col
 
 
 def _certify_text(doc: dict) -> str:
@@ -215,7 +229,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     tamper_text = os.environ.get("BVLAB_TAMPER")
     if tamper_text:
         try:
-            tamper = _parse_tamper(tamper_text)
+            tamper = _parse_tamper(tamper_text, args.n)
         except ValueError as err:
             return _usage_error(str(err))
 
@@ -242,7 +256,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         }
         for f in functions:
             matrix = oracle_dense_matrix(kind, f)
-            if tamper is not None and tamper[0] == kind.value:
+            if tamper is not None and tamper[0] is kind:
                 row, col = tamper[1], tamper[2]
                 matrix[row, col] = 1.0 - matrix[row, col]
             if not check_unitary(matrix, tol=args.tolerance):
@@ -312,11 +326,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def sweep_one(gamma: BitString) -> list[RunReport]:
         return run_all(gamma, record_stages=False, tol=args.tolerance)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sweep_one, keys))
-    else:
-        results = [sweep_one(g) for g in keys]
+    # map keeps key order, and each run is bit-exact on any thread.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(sweep_one, keys))
 
     per_algorithm = {
         name: {"successes": 0, "oracle_calls": 0} for name in ALGORITHMS
@@ -499,6 +511,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "n", None) is not None and args.n < 1:
         return _usage_error("n must be >= 1")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        return _usage_error("seed must be >= 0")
     try:
         return args.func(args)
     except CapacityError as err:

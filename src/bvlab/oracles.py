@@ -2,9 +2,11 @@
 
 Every oracle here is classical on basis labels: it permutes amplitudes (or
 flips their signs) according to a truth-table read, so application costs
-O(2**m) instead of the O(4**m) of a matrix product.  The dense-matrix path
-exists only for verification of unitarity, self-adjointness, and
-permutation or signed-diagonal structure on small registers.
+O(2**m) instead of the O(4**m) of a matrix product.  Each kernel acts on
+the last axis of a ``(..., 2**m)`` array and keeps its dtype.  The dense
+matrix, only for verifying unitarity, self-adjointness, and permutation or
+signed-diagonal structure on small registers, is one kernel call on the
+rows of the float64 identity, transposed; its entries are 0, 1 or -1.
 
 One table, ``_ORACLES``, holds each kind's kernel, its register width for
 arity n, and the structure its dense matrix must have.  ``apply_oracle``
@@ -42,7 +44,7 @@ __all__ = [
     "oracle_dense_matrix",
 ]
 
-# 2**12 x 2**12 complex doubles is 256 MB; past that dense checks stop paying.
+# 2**12 x 2**12 float64 is 128 MB; past that dense checks stop paying.
 DENSE_QUBIT_CAP = 12
 
 
@@ -67,39 +69,39 @@ class OracleKind(Enum):
 
 def _standard_bv_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Swap the target pair wherever f(x) = 1.
-    pairs = amps.reshape(-1, 2)
+    pairs = amps.reshape(*amps.shape[:-1], -1, 2)
     sel = np.flatnonzero(table)
-    pairs[sel] = pairs[sel][:, ::-1]
+    pairs[..., sel, :] = pairs[..., sel, ::-1]
 
 
 def _toffoli_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Target flips only on the control=1 half of the f(x)=1 slices.
-    blocks = amps.reshape(-1, 2, 2)
+    blocks = amps.reshape(*amps.shape[:-1], -1, 2, 2)
     sel = np.flatnonzero(table)
-    blocks[sel, 1] = blocks[sel, 1][:, ::-1]
+    blocks[..., sel, 1, :] = blocks[..., sel, 1, ::-1]
 
 
 def _phase_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Diagonal: negate amplitudes with f(x) = 1 and flag qubit 0.
-    blocks = amps.reshape(1 << n, 2, -1)
+    blocks = amps.reshape(*amps.shape[:-1], 1 << n, 2, -1)
     sel = np.flatnonzero(table)
-    blocks[sel, 0, :] *= -1.0
+    blocks[..., sel, 0, :] *= -1.0
 
 
 def _two_register_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Target flips where the two table reads disagree.
-    blocks = amps.reshape(1 << n, 1 << n, 2)
+    blocks = amps.reshape(*amps.shape[:-1], 1 << n, 1 << n, 2)
     differs = (table[:, None] ^ table[None, :]).astype(bool)
-    blocks[differs] = blocks[differs][:, ::-1]
+    blocks[..., differs, :] = blocks[..., differs, ::-1]
 
 
 def _single_xor_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Target flips where f(x) and the control bit disagree.
-    blocks = amps.reshape(-1, 2, 2)
+    blocks = amps.reshape(*amps.shape[:-1], -1, 2, 2)
     ones = np.flatnonzero(table)
     zeros = np.flatnonzero(table == 0)
-    blocks[ones, 0] = blocks[ones, 0][:, ::-1]
-    blocks[zeros, 1] = blocks[zeros, 1][:, ::-1]
+    blocks[..., ones, 0, :] = blocks[..., ones, 0, ::-1]
+    blocks[..., zeros, 1, :] = blocks[..., zeros, 1, ::-1]
 
 
 # Kind -> (kernel, register width for arity n, dense-matrix structure).
@@ -175,7 +177,7 @@ def apply_single_xor_oracle(state: StateVector, f: BooleanFunction) -> StateVect
 
 
 def oracle_dense_matrix(kind: OracleKind, f: BooleanFunction) -> np.ndarray:
-    """Exact matrix of the oracle, column v = oracle applied to basis ket v.
+    """Exact float64 matrix of the oracle, column v = oracle applied to ket v.
 
     Only for verification; capped at DENSE_QUBIT_CAP total qubits.
     """
@@ -184,11 +186,6 @@ def oracle_dense_matrix(kind: OracleKind, f: BooleanFunction) -> np.ndarray:
         raise CapacityError(
             f"dense extraction needs {m} qubits, cap is {DENSE_QUBIT_CAP}"
         )
-    dim = 1 << m
-    rows = np.eye(dim, dtype=np.complex128)
-    kernel = _ORACLES[kind][0]
-    for v in range(dim):
-        # Row v starts as basis ket v; the kernels run on any contiguous
-        # length-2**m array, so fill rows in place and transpose once.
-        kernel(rows[v], f.arity, f.table)
+    rows = np.eye(1 << m)
+    _ORACLES[kind][0](rows, f.arity, f.table)
     return rows.T.copy()

@@ -299,7 +299,9 @@ def state_close_up_to_global_phase(
 
 
 def _as_square(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.complex128)
+    # Real and complex input keep their dtype; integer and bool become float64.
+    m = np.asarray(matrix)
+    m = m.astype(np.result_type(m, 1.0), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m

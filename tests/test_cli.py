@@ -98,6 +98,9 @@ def test_run_non_deterministic_table_fails(tmp_path, capsys):
 def test_run_usage_errors(tmp_path, capsys):
     status, _ = run_cli(capsys, "run", "--algorithm", "bva", "--gamma", "12")
     assert status == 2
+    assert run_cli(
+        capsys, "run", "--algorithm", "bva", "--gamma", "101", "--seed", "-1"
+    ) == (2, "")
     status, _ = run_cli(
         capsys, "run", "--algorithm", "bva", "--table", str(tmp_path / "none.tbl")
     )
@@ -159,6 +162,7 @@ def test_certify_random_mode(capsys, monkeypatch):
 def test_certify_capacity_and_usage(capsys):
     assert run_cli(capsys, "certify", "--n", "5")[0] == 2
     assert run_cli(capsys, "certify", "--n", "0")[0] == 2
+    assert run_cli(capsys, "certify", "--n", "4", "--seed", "-1") == (2, "")
 
 
 def test_certify_tamper_hook_is_caught(capsys, monkeypatch):
@@ -174,6 +178,18 @@ def test_certify_tamper_hook_is_caught(capsys, monkeypatch):
 def test_certify_tamper_hook_validation(capsys, monkeypatch):
     monkeypatch.setenv("BVLAB_TAMPER", "gibberish")
     assert run_cli(capsys, "certify", "--n", "1")[0] == 2
+    # At n=2 the toffoli register has 4 qubits, so rows and cols are 0..15.
+    for value, expected in (
+        ("toffoli:999:0", "[0, 16)"),
+        ("toffoli:-1:0", "[0, 16)"),
+        ("toffoli:0:16", "[0, 16)"),
+        ("nokind:0:0", "two-register"),
+    ):
+        monkeypatch.setenv("BVLAB_TAMPER", value)
+        status = cli.main(["certify", "--n", "2"])
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (2, ""), value
+        assert expected in captured.err, value
 
 
 def test_sweep(capsys):
@@ -194,13 +210,17 @@ def test_sweep_cap(capsys):
 
 
 def test_sweep_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("BVLAB_THREADS", "1")
-    status, serial = run_cli(capsys, "sweep", "--n", "2")
-    assert status == 0
-    monkeypatch.setenv("BVLAB_THREADS", "4")
-    status, threaded = run_cli(capsys, "sweep", "--n", "2")
-    assert status == 0
-    assert serial == threaded
+    # n=6 gives the two workers 64 keys, up to 13-qubit states, so their
+    # runs interleave; the 18-qubit multi-tile thread case is in
+    # test_statevector.py.
+    for n, threads in (("2", "4"), ("6", "2")):
+        monkeypatch.setenv("BVLAB_THREADS", "1")
+        status, serial = run_cli(capsys, "sweep", "--n", n)
+        assert status == 0
+        monkeypatch.setenv("BVLAB_THREADS", threads)
+        status, threaded = run_cli(capsys, "sweep", "--n", n)
+        assert status == 0
+        assert serial == threaded, n
     monkeypatch.setenv("BVLAB_THREADS", "zero")
     assert run_cli(capsys, "sweep", "--n", "2")[0] == 2
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import refsim
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.errors import CapacityError, DimensionMismatchError
 from bvlab.oracles import (
+    _ORACLES,
     DENSE_QUBIT_CAP,
     OracleKind,
     apply_oracle,
@@ -77,6 +80,56 @@ def test_applier_agrees_with_dense_multiply(kind):
         expected = refsim.ORACLE_MATRIX[kind.value](f.table) @ st.amps
         APPLIERS[kind](st, f)
         assert np.max(np.abs(st.amps - expected)) <= 1e-12
+
+
+@st_.composite
+def kernel_cases(draw):
+    kind = draw(st_.sampled_from(list(OracleKind)))
+    n = draw(st_.integers(1, 4))
+    table = draw(st_.lists(st_.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    dtype = draw(st_.sampled_from([np.complex128, np.float64]))
+    k = draw(st_.integers(1, 4))
+    return kind, BooleanFunction(table), dtype, k, draw(st_.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_kernel_on_a_batch_matches_single_states_and_the_reference(case):
+    kind, f, dtype, k, seed = case
+    dim = 1 << kind.qubit_count(f.arity)
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(k, dim))
+    if dtype is np.complex128:
+        states = states + 1j * rng.normal(size=(k, dim))
+    # Zeros, which the phase kernel turns into -0.0 on both paths.
+    states[rng.integers(0, 8, size=states.shape) == 0] = 0.0
+    kernel = _ORACLES[kind][0]
+    singles = states.copy()
+    for row in singles:
+        kernel(row, f.arity, f.table)
+    batch = states.copy()
+    kernel(batch, f.arity, f.table)
+    assert batch.dtype == dtype and singles.dtype == dtype
+    assert batch.tobytes() == singles.tobytes()
+    matrix = refsim.ORACLE_MATRIX[kind.value](f.table)
+    for before, after in zip(states, batch):
+        assert np.max(np.abs(after - matrix @ before)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(OracleKind))
+def test_dense_matrix_is_one_float64_kernel_call(kind, monkeypatch):
+    kernel, width, structure = _ORACLES[kind]
+    shapes = []
+
+    def counted(amps, n, table):
+        shapes.append(amps.shape)
+        kernel(amps, n, table)
+
+    monkeypatch.setitem(_ORACLES, kind, (counted, width, structure))
+    matrix = oracle_dense_matrix(kind, bv_function(BitString.parse("101")))
+    dim = 1 << kind.qubit_count(3)
+    assert shapes == [(dim, dim)]
+    assert matrix.dtype == np.float64
 
 
 @pytest.mark.parametrize("kind", list(OracleKind))

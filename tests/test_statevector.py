@@ -305,6 +305,15 @@ def test_matrix_checks():
     assert not check_signed_diagonal(swap)
     with pytest.raises(ValueError):
         check_unitary(np.ones((2, 3)))
+    # Every oracle matrix is real, so certification runs in float64.
+    as_square = statevector._as_square
+    assert as_square(np.eye(2)).dtype == np.float64
+    assert as_square(np.eye(2, dtype=np.complex128)).dtype == np.complex128
+    assert as_square(np.eye(2, dtype=np.int64)).dtype == np.float64
+    assert as_square(np.eye(2, dtype=bool)).dtype == np.float64
+    assert check_hermitian(np.eye(2, dtype=bool))
+    assert check_permutation(np.eye(4, dtype=np.int64)[[1, 0, 3, 2]])
+    assert not check_unitary(np.array([[1, 1], [0, 1]]))
 
 
 def test_split_singular_values():
