@@ -13,18 +13,15 @@ hold), 2 usage or capacity error.  Identical invocations with identical
 seeds produce byte-identical documents; reports default to JSON, and
 ``--format text`` renders fixed-width tables instead.
 
-Environment: BVLAB_THREADS caps sweep workers.  BVLAB_TAMPER, a
-``kind:row:col`` triple, flips one dense-matrix entry during certify and
-exists so the test suite can prove certification actually fails on a
-broken oracle.  The kind must be an oracle kind and 0 <= row, col <
-2**qubits, the kind's register width at the certified n; anything else
-exits 2 before a matrix is built.
+Environment: BVLAB_THREADS, which caps sweep workers, is the only
+variable read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -63,11 +60,17 @@ CERTIFY_RANDOM_ARITY = 4
 CERTIFY_RANDOM_COUNT = 100
 
 
-def _emit(text: str, output_path: Optional[str]) -> None:
+def _emit(text: str, output_path: Optional[str], status: int) -> int:
+    """Write the document; returns ``status``, or 2 if --output is unwritable."""
     if output_path is None:
         sys.stdout.write(text)
-    else:
+        return status
+    try:
         Path(output_path).write_text(text)
+    except OSError as err:
+        reason = err.strerror or err
+        return _usage_error(f"cannot write --output {output_path}: {reason}")
+    return status
 
 
 def _render(doc: dict, fmt: str, as_text) -> str:
@@ -157,8 +160,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         doc["sample"] = str(draw(report.top_distribution, report.n, args.seed))
 
-    _emit(_render(doc, args.format, _run_text), args.output)
-    return status
+    return _emit(_render(doc, args.format, _run_text), args.output, status)
 
 
 # ---------------------------------------------------------------- certify
@@ -175,25 +177,6 @@ def _certify_functions(n: int, seed: int) -> tuple[str, list[BooleanFunction]]:
     rng = np.random.default_rng(seed)
     tables = rng.integers(0, 2, size=(CERTIFY_RANDOM_COUNT, 1 << n), dtype=np.uint8)
     return "random", [BooleanFunction(row) for row in tables]
-
-
-def _parse_tamper(value: str, n: int) -> tuple[OracleKind, int, int]:
-    try:
-        name, row_text, col_text = value.split(":")
-        kind, row, col = OracleKind(name), int(row_text), int(col_text)
-    except ValueError:
-        kinds = ", ".join(k.value for k in OracleKind)
-        raise ValueError(
-            f"BVLAB_TAMPER must be kind:row:col with kind one of {kinds}, "
-            f"got {value!r}"
-        ) from None
-    dim = 1 << kind.qubit_count(n)
-    if not (0 <= row < dim and 0 <= col < dim):
-        raise ValueError(
-            f"BVLAB_TAMPER row and col must be in [0, {dim}) for "
-            f"{kind.value} at n={n}, got {value!r}"
-        )
-    return kind, row, col
 
 
 def _certify_text(doc: dict) -> str:
@@ -225,13 +208,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
             f"certify handles n <= {CERTIFY_RANDOM_ARITY}; "
             f"n={args.n} would need {1 << (1 << args.n)} functions"
         )
-    tamper = None
-    tamper_text = os.environ.get("BVLAB_TAMPER")
-    if tamper_text:
-        try:
-            tamper = _parse_tamper(tamper_text, args.n)
-        except ValueError as err:
-            return _usage_error(str(err))
 
     mode, functions = _certify_functions(args.n, args.seed)
     doc: dict = {
@@ -256,9 +232,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         }
         for f in functions:
             matrix = oracle_dense_matrix(kind, f)
-            if tamper is not None and tamper[0] is kind:
-                row, col = tamper[1], tamper[2]
-                matrix[row, col] = 1.0 - matrix[row, col]
             if not check_unitary(matrix, tol=args.tolerance):
                 entry["unitary_failures"] += 1
             if not check_hermitian(matrix, tol=args.tolerance):
@@ -274,8 +247,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         doc["kinds"][kind.value] = entry
     doc["all_passed"] = all_passed
 
-    _emit(_render(doc, args.format, _certify_text), args.output)
-    return 0 if all_passed else 1
+    status = 0 if all_passed else 1
+    return _emit(_render(doc, args.format, _certify_text), args.output, status)
 
 
 # ---------------------------------------------------------------- sweep
@@ -361,8 +334,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "failures": failures,
         "all_passed": successes == runs,
     }
-    _emit(_render(doc, args.format, _sweep_text), args.output)
-    return 0 if doc["all_passed"] else 1
+    status = 0 if doc["all_passed"] else 1
+    return _emit(_render(doc, args.format, _sweep_text), args.output, status)
 
 
 # ---------------------------------------------------------------- trace
@@ -423,9 +396,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "stages": stages,
         "all_checks_ok": report.stages_ok(),
     }
-    _emit(_render(doc, args.format, _trace_text), args.output)
     ok = report.recovered == gamma and report.stages_ok()
-    return 0 if ok else 1
+    return _emit(_render(doc, args.format, _trace_text), args.output, 0 if ok else 1)
 
 
 # ---------------------------------------------------------------- parser
@@ -513,6 +485,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _usage_error("n must be >= 1")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         return _usage_error("seed must be >= 0")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        return _usage_error(
+            f"--tolerance must be finite and >= 0, got {args.tolerance}"
+        )
     try:
         return args.func(args)
     except CapacityError as err:

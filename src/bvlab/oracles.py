@@ -9,9 +9,9 @@ signed-diagonal structure on small registers, is one kernel call on the
 rows of the float64 identity, transposed; its entries are 0, 1 or -1.
 
 One table, ``_ORACLES``, holds each kind's kernel, its register width for
-arity n, and the structure its dense matrix must have.  ``apply_oracle``
-checks the layout against that width and runs the kernel; the five
-``apply_*`` functions are named shortcuts to it.
+arity n, and the structure its dense matrix must have.  ``apply_oracle``,
+the one way to apply an oracle, checks the layout against that width and
+runs the kernel.
 
 Register layouts (qubit 0 topmost / most significant):
 
@@ -35,11 +35,6 @@ from .truthtable import BooleanFunction
 __all__ = [
     "OracleKind",
     "DENSE_QUBIT_CAP",
-    "apply_standard_bv",
-    "apply_toffoli_oracle",
-    "apply_phase_oracle",
-    "apply_two_register_oracle",
-    "apply_single_xor_oracle",
     "apply_oracle",
     "oracle_dense_matrix",
 ]
@@ -118,7 +113,9 @@ def apply_oracle(kind: OracleKind, state: StateVector, f: BooleanFunction) -> St
     """Apply the oracle of the given kind in place after checking the layout.
 
     Every kind needs exactly its register width, except the phase oracle,
-    which needs at least its width (see apply_phase_oracle).
+    which needs at least its width: it acts on qubits 0..n and leaves any
+    further qubits untouched, so on a wider register it is the oracle
+    tensored with the identity.
     """
     kernel, width, _ = _ORACLES[kind]
     need = width(f.arity)
@@ -135,45 +132,6 @@ def apply_oracle(kind: OracleKind, state: StateVector, f: BooleanFunction) -> St
         )
     kernel(state.amps, f.arity, f.table)
     return state
-
-
-def apply_standard_bv(state: StateVector, f: BooleanFunction) -> StateVector:
-    """XOR f(x) into the last qubit: (x, y) -> (x, y ^ f(x)).  In place."""
-    return apply_oracle(OracleKind.STANDARD_BV, state, f)
-
-
-def apply_toffoli_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
-    """Function-controlled Toffoli: (x, b, g) -> (x, b, g ^ (f(x) & b)).
-
-    The top n qubits hold x, qubit n the control, qubit n+1 the target.
-    In place.
-    """
-    return apply_oracle(OracleKind.TOFFOLI, state, f)
-
-
-def apply_phase_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
-    """Sign flip on components with f(x) = 1 and qubit n equal to 0.  In place.
-
-    Acts on qubits 0..n; any further qubits are untouched, so applying it to
-    a wider register is the oracle tensored with the identity.
-    """
-    return apply_oracle(OracleKind.PHASE, state, f)
-
-
-def apply_two_register_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
-    """Two evaluations, one target: (x, y, g) -> (x, y, g ^ f(x) ^ f(y)).
-
-    Qubits 0..n-1 hold x, n..2n-1 hold y, qubit 2n the target.  In place.
-    """
-    return apply_oracle(OracleKind.TWO_REGISTER, state, f)
-
-
-def apply_single_xor_oracle(state: StateVector, f: BooleanFunction) -> StateVector:
-    """XOR of value and control into the target: (x, b, g) -> (x, b, g ^ f(x) ^ b).
-
-    Same layout as the Toffoli-style oracle.  In place.
-    """
-    return apply_oracle(OracleKind.SINGLE_XOR, state, f)
 
 
 def oracle_dense_matrix(kind: OracleKind, f: BooleanFunction) -> np.ndarray:

@@ -128,11 +128,10 @@ class RunReport:
 
 def distribution_table(probs: np.ndarray, width: int) -> dict[str, float]:
     """Sparse outcome table keyed by bit labels, 12-decimal probabilities."""
-    out: dict[str, float] = {}
-    for v, p in enumerate(probs):
-        if p >= TABLE_EPS:
-            out[str(BitString.from_int(width, v))] = round(float(p), 12)
-    return out
+    return {
+        str(BitString.from_int(width, int(v))): round(float(probs[v]), 12)
+        for v in np.flatnonzero(probs >= TABLE_EPS)
+    }
 
 
 def _kets(signs: str) -> list[StateVector]:

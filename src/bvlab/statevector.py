@@ -37,7 +37,6 @@ from .errors import DimensionMismatchError, NotDeterministicError
 __all__ = [
     "StateVector",
     "basis_state",
-    "apply_hadamard",
     "apply_hadamard_layer",
     "hadamard_of_key",
     "tensor",
@@ -105,15 +104,6 @@ def basis_state(qubits: int, label: BitString) -> StateVector:
 def _check_qubit(state: StateVector, qubit: int) -> None:
     if not 0 <= qubit < state.qubits:
         raise IndexError(f"qubit {qubit} out of range for {state.qubits}-qubit state")
-
-
-def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
-    """In-place Hadamard on one qubit; returns the mutated state.
-
-    Each index pair differing only in the target bit maps
-    (a0, a1) -> ((a0+a1)/sqrt2, (a0-a1)/sqrt2).
-    """
-    return apply_hadamard_layer(state, [qubit])
 
 
 def _butterflies(buf: np.ndarray, bits: Sequence[int], spare: np.ndarray) -> None:

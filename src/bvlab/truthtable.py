@@ -8,6 +8,7 @@ instance so shared functions are not perturbed by bookkeeping reads.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 import numpy as np
@@ -159,7 +160,8 @@ def load_table(text: str) -> BooleanFunction:
     """Parse the two-line truth-table format.
 
     Line 1 is ``arity n``; line 2 is the 2**n table bits as one contiguous
-    0/1 string in index order.  Anything else is rejected.
+    0/1 string in index order.  Anything else is rejected, and an arity
+    over MAX_ARITY raises CapacityError before the table is sized.
     """
     return BooleanFunction(np.frombuffer(_table_line(text), dtype=np.uint8) - ord("0"))
 
@@ -174,11 +176,14 @@ def _table_line(text: str) -> bytes:
     if len(lines) != 2:
         raise ValueError(f"expected 2 non-empty lines, got {len(lines)}")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "arity" or not head[1].isdigit():
+    # ASCII digits only: str.isdigit also accepts "２" and "²".
+    if len(head) != 2 or head[0] != "arity" or not re.fullmatch("[0-9]+", head[1]):
         raise ValueError(f"bad header line: {lines[0]!r}")
     n = int(head[1])
     if n < 1:
         raise ValueError("arity must be >= 1")
+    if n > MAX_ARITY:
+        raise CapacityError(f"arity {n} exceeds limit {MAX_ARITY}")
     bits = lines[1].strip()
     if len(bits) != (1 << n):
         raise ValueError(f"table line has {len(bits)} bits, expected {1 << n}")

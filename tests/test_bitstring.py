@@ -1,6 +1,8 @@
 """Bit-string algebra: construction, encoding, xor/dot identities."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from bvlab.bitstring import BitString, all_bitstrings, basis_e, basis_k
 from bvlab.errors import DimensionMismatchError
@@ -29,6 +31,16 @@ def test_parse():
     for bad in ("", "10a", "2", " 1"):
         with pytest.raises(ValueError):
             BitString.parse(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_.text(alphabet="0101 2aé²２٣\t\f\n", max_size=20))
+def test_parse_fuzz_round_trips_or_raises_value_error(text):
+    try:
+        b = BitString.parse(text)
+    except ValueError:
+        return
+    assert str(b) == text
 
 
 def test_zeros_ones():

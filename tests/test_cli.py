@@ -8,19 +8,26 @@ import pytest
 
 from bvlab import cli
 from bvlab.bitstring import BitString
+from bvlab.oracles import OracleKind
 from bvlab.truthtable import bv_function, dump_table, pi_function
 
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("BVLAB_THREADS", raising=False)
-    monkeypatch.delenv("BVLAB_TAMPER", raising=False)
 
 
 def run_cli(capsys, *argv):
     status = cli.main(list(argv))
     out = capsys.readouterr().out
     return status, out
+
+
+def usage_error(capsys, *argv):
+    """Exit code, stdout and stderr of one invocation."""
+    status = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
 
 
 def run_json(capsys, *argv):
@@ -109,6 +116,12 @@ def test_run_usage_errors(tmp_path, capsys):
     bad.write_text("arity 2\n01\n")
     status, _ = run_cli(capsys, "run", "--algorithm", "bva", "--table", str(bad))
     assert status == 2
+    for tol in ("nan", "inf", "-1"):
+        status, out, err = usage_error(
+            capsys, "run", "--algorithm", "bva", "--gamma", "1", f"--tolerance={tol}"
+        )
+        assert (status, out) == (2, ""), tol
+        assert "--tolerance" in err, tol
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--algorithm", "bva"])
     assert exc.value.code == 2
@@ -134,6 +147,16 @@ def test_output_flag_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert status == 0
     assert out == ""
     assert json.loads(out_path.read_text())["recovered"] == "10"
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    status, out, err = usage_error(
+        capsys, "run", "--algorithm", "bva", "--gamma", "1", "--output", str(target)
+    )
+    assert (status, out) == (2, "")
+    assert str(target) in err
+    assert not target.exists()
 
 
 def test_certify_exhaustive(capsys):
@@ -163,33 +186,41 @@ def test_certify_capacity_and_usage(capsys):
     assert run_cli(capsys, "certify", "--n", "5")[0] == 2
     assert run_cli(capsys, "certify", "--n", "0")[0] == 2
     assert run_cli(capsys, "certify", "--n", "4", "--seed", "-1") == (2, "")
+    for tol in ("-1", "nan", "-inf"):
+        status, out, err = usage_error(
+            capsys, "certify", "--n", "1", f"--tolerance={tol}"
+        )
+        assert (status, out) == (2, ""), tol
+        assert "--tolerance" in err, tol
+
+
+def test_sweep_and_trace_refuse_a_bad_tolerance(capsys):
+    for argv in (
+        ["sweep", "--n", "1", "--tolerance=nan"],
+        ["trace", "--algorithm", "pi", "--gamma", "1", "--tolerance=-1e-9"],
+    ):
+        status, out, err = usage_error(capsys, *argv)
+        assert (status, out) == (2, ""), argv
+        assert "--tolerance" in err, argv
 
 
 def test_certify_tamper_hook_is_caught(capsys, monkeypatch):
-    monkeypatch.setenv("BVLAB_TAMPER", "two-register:0:1")
+    # Bend one entry of every two-register matrix: certification must fail.
+    dense = cli.oracle_dense_matrix
+
+    def bent(kind, f):
+        matrix = dense(kind, f)
+        if kind is OracleKind.TWO_REGISTER:
+            matrix[0, 1] = 1.0 - matrix[0, 1]
+        return matrix
+
+    monkeypatch.setattr(cli, "oracle_dense_matrix", bent)
     status, doc = run_json(capsys, "certify", "--n", "1")
     assert status == 1
     assert doc["all_passed"] is False
     broken = doc["kinds"]["two-register"]
     assert broken["unitary_failures"] == 4  # every function's matrix was bent
     assert doc["kinds"]["toffoli"]["unitary_failures"] == 0
-
-
-def test_certify_tamper_hook_validation(capsys, monkeypatch):
-    monkeypatch.setenv("BVLAB_TAMPER", "gibberish")
-    assert run_cli(capsys, "certify", "--n", "1")[0] == 2
-    # At n=2 the toffoli register has 4 qubits, so rows and cols are 0..15.
-    for value, expected in (
-        ("toffoli:999:0", "[0, 16)"),
-        ("toffoli:-1:0", "[0, 16)"),
-        ("toffoli:0:16", "[0, 16)"),
-        ("nokind:0:0", "two-register"),
-    ):
-        monkeypatch.setenv("BVLAB_TAMPER", value)
-        status = cli.main(["certify", "--n", "2"])
-        captured = capsys.readouterr()
-        assert (status, captured.out) == (2, ""), value
-        assert expected in captured.err, value
 
 
 def test_sweep(capsys):

@@ -106,7 +106,6 @@ def _expected() -> dict:
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("BVLAB_THREADS", raising=False)
-    monkeypatch.delenv("BVLAB_TAMPER", raising=False)
 
 
 def test_golden_covers_exactly_the_cases():
@@ -124,8 +123,7 @@ def test_library_output_is_byte_identical(case):
 
 
 def _write() -> None:
-    for var in ("BVLAB_THREADS", "BVLAB_TAMPER"):
-        os.environ.pop(var, None)
+    os.environ.pop("BVLAB_THREADS", None)
     doc = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CLI_CASES:

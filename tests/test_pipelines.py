@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import refsim
 from bvlab.bitstring import BitString, all_bitstrings
@@ -177,3 +179,28 @@ def test_distribution_table_rounding_and_dust():
         "10": 0.25,
         "11": 0.25,
     }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st_.integers(1, 6).flatmap(
+        lambda width: st_.tuples(
+            st_.just(width),
+            st_.lists(
+                st_.sampled_from([0.0, 1e-12, np.nextafter(1e-12, 0), np.nan, 1.0])
+                | st_.floats(0.0, 1.0),
+                min_size=1 << width,
+                max_size=1 << width,
+            ),
+        )
+    )
+)
+def test_distribution_table_matches_a_scan_of_every_entry(case):
+    width, values = case
+    probs = np.array(values)
+    scanned = {
+        str(BitString.from_int(width, v)): round(float(p), 12)
+        for v, p in enumerate(probs)
+        if p >= 1e-12
+    }
+    assert list(distribution_table(probs, width).items()) == list(scanned.items())

@@ -15,7 +15,6 @@ from bvlab.errors import DimensionMismatchError, NotDeterministicError
 from bvlab.statevector import (
     DUMP_EPS,
     StateVector,
-    apply_hadamard,
     apply_hadamard_layer,
     basis_state,
     check_hermitian,
@@ -101,24 +100,24 @@ def test_hadamard_matches_dense_reference_on_every_qubit():
         for q in range(m):
             st = random_state(m, seed=31 * m + q)
             expected = refsim.gate_on(m, q, refsim.H1) @ st.amps
-            apply_hadamard(st, q)
+            apply_hadamard_layer(st, [q])
             assert np.max(np.abs(st.amps - expected)) <= 1e-12
 
 
 def test_hadamard_is_self_inverse():
     st = random_state(3, seed=5)
     before = st.amps.copy()
-    apply_hadamard(st, 1)
-    apply_hadamard(st, 1)
+    apply_hadamard_layer(st, [1])
+    apply_hadamard_layer(st, [1])
     assert np.max(np.abs(st.amps - before)) <= 1e-12
 
 
 def test_hadamard_qubit_range_checked():
     st = basis_state(2, BitString.parse("00"))
     with pytest.raises(IndexError):
-        apply_hadamard(st, 2)
+        apply_hadamard_layer(st, [2])
     with pytest.raises(IndexError):
-        apply_hadamard(st, -1)
+        apply_hadamard_layer(st, [-1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from bvlab.bitstring import BitString, all_bitstrings, basis_e, basis_k
 from bvlab.errors import CapacityError, DimensionMismatchError
@@ -154,6 +156,9 @@ def test_table_io_roundtrip():
         "arity 0\n\n",
         "arity 2\n0101\nextra\n",
         "arity 2\n01é1\n",  # non-ASCII, right length
+        "arity 100000000\n01\n",  # over MAX_ARITY
+        "arity ２\n0101\n",  # fullwidth digit
+        "arity ²\n0101\n",  # superscript digit
     ],
 )
 def test_table_io_rejects(bad):
@@ -175,6 +180,17 @@ def test_load_table_peak_is_a_small_multiple_of_the_table():
     assert f.table[:4].tolist() == [0, 1, 0, 1]
 
 
+def test_load_table_refuses_oversize_arity_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="arity 100000000 exceeds limit 24"):
+            load_table("arity 100000000\n01\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_load_table_messages_keep_their_precedence():
     with pytest.raises(ValueError, match="table line has 3 bits, expected 4"):
         load_table("arity 2\n0é1\n")
@@ -186,3 +202,29 @@ def test_repr_short_and_long():
     assert "arity=2" in repr(BooleanFunction([0, 1, 1, 0]))
     long = BooleanFunction(np.zeros(1 << 6, dtype=np.uint8))
     assert "..." in repr(long)
+
+
+# Digits of other scripts, and whitespace that split() and splitlines()
+# treat specially (\f, \v, \x1c and \u2028 all end a line).
+_TABLE_CHARS = "01 29aré²２٣\t\f\v\r\n\x1c\u2028"
+
+
+@st_.composite
+def table_texts(draw):
+    """A valid table text with up to two of its six pieces replaced by noise."""
+    n = draw(st_.integers(1, 3))
+    bits = draw(st_.text(alphabet="01", min_size=1 << n, max_size=1 << n))
+    pieces = ["arity", " ", str(n), "\n", bits, "\n"]
+    for i in draw(st_.lists(st_.integers(0, len(pieces) - 1), max_size=2)):
+        pieces[i] = draw(st_.text(alphabet=_TABLE_CHARS, max_size=3))
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_.text(alphabet=_TABLE_CHARS, max_size=40) | table_texts())
+def test_load_table_fuzz_round_trips_or_raises_value_error(text):
+    try:
+        f = load_table(text)
+    except ValueError:
+        return
+    assert load_table(dump_table(f)) == f
