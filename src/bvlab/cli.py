@@ -20,6 +20,7 @@ variable read.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -60,8 +61,25 @@ CERTIFY_RANDOM_ARITY = 4
 CERTIFY_RANDOM_COUNT = 100
 
 
+def _output_problem(output_path: str) -> Optional[str]:
+    """Why --output cannot be written, checked before any work; else None."""
+    target = Path(output_path)
+    if target.is_dir():
+        return os.strerror(errno.EISDIR)
+    if not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+        return os.strerror(code)
+    if not os.access(target.parent, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
 def _emit(text: str, output_path: Optional[str], status: int) -> int:
-    """Write the document; returns ``status``, or 2 if --output is unwritable."""
+    """Write the document; returns ``status``, or 2 if --output is unwritable.
+
+    ``main`` has already refused a path it can tell is unwritable; this
+    catches what changes or fails while the document is being computed.
+    """
     if output_path is None:
         sys.stdout.write(text)
         return status
@@ -489,6 +507,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _usage_error(
             f"--tolerance must be finite and >= 0, got {args.tolerance}"
         )
+    if args.output is not None:
+        problem = _output_problem(args.output)
+        if problem is not None:
+            return _usage_error(f"cannot write --output {args.output}: {problem}")
     try:
         return args.func(args)
     except CapacityError as err:

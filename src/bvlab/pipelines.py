@@ -26,7 +26,8 @@ Stage references are rebuilt from the truth table with parity arithmetic
 (hadamard_of_key plus Kronecker products), never with the gate kernels
 under test, so a kernel bug cannot cancel out of the comparison.  The
 comparator is phase-sensitive throughout; the up-to-phase variant is used
-nowhere in this module.
+nowhere in this module.  Every gate and every closed form here is real, so
+states and references are float64 from start to end.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _kets(signs: str) -> list[StateVector]:
     """One single-qubit ket per sign: "+" for |+>, "-" for |->."""
     r = 2.0**-0.5
     return [
-        StateVector(1, np.array([r, r if s == "+" else -r], dtype=np.complex128))
+        StateVector(1, np.array([r, r if s == "+" else -r]))
         for s in signs
     ]
 
@@ -166,7 +167,7 @@ def _initial(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVect
 
 def _spread(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
     m = p.registers * f.arity
-    uniform = np.full(1 << m, 2.0 ** (-m / 2.0), dtype=np.complex128)
+    uniform = np.full(1 << m, 2.0 ** (-m / 2.0))
     return [StateVector(m, uniform), *_kets(p.spread)]
 
 
@@ -185,7 +186,7 @@ def _signed_pair(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[State
     built directly from the truth table.
     """
     n = f.arity
-    block = np.empty((1 << n, 2), dtype=np.complex128)
+    block = np.empty((1 << n, 2))
     block[:, 0] = 1.0
     block[:, 1] = 1.0 - 2.0 * f.table.astype(np.float64)
     pairs = StateVector(n + 1, block.reshape(-1) * 2.0 ** (-(n + 1) / 2.0))
@@ -203,7 +204,7 @@ def _pairwise_sign(
     n = f.arity
     signs = 1.0 - 2.0 * f.table.astype(np.float64)
     block = np.multiply.outer(signs, signs).reshape(-1) / float(1 << n)
-    return [StateVector(2 * n, block.astype(np.complex128)), *_kets("-")]
+    return [StateVector(2 * n, block), *_kets("-")]
 
 
 @dataclass(frozen=True)

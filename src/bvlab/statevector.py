@@ -1,9 +1,13 @@
 """Dense state-vector engine: amplitude storage, Hadamard layers, marginals.
 
-Amplitudes live in one flat complex128 array of length 2**m.  Index v holds
-the amplitude of the basis ket labeled by the big-endian bit string of v,
-so qubit 0 is the most significant index bit and is drawn topmost in
-circuit layouts.
+Amplitudes live in one flat array of length 2**m.  Index v holds the
+amplitude of the basis ket labeled by the big-endian bit string of v, so
+qubit 0 is the most significant index bit and is drawn topmost in circuit
+layouts.  The array is float64 when every amplitude is real and complex128
+otherwise.  The pipelines apply only real gates (Hadamard, bit-flip
+permutations, +-1 signs) to real basis states, so they run in float64 at
+half the bytes; every kernel here and in ``oracles`` keeps the dtype it is
+given.
 
 A Hadamard layer views the array as a (2**a, 2**(m-a)) grid with
 a = m // 2 and streams it through buffers of at most ``_TILE`` amplitudes,
@@ -13,11 +17,19 @@ q >= a are column bits: a slab of whole rows is copied out transposed, so
 they become row bits with long contiguous inner loops.  Inside a buffer,
 row bit k pairs the two halves of a (2**k, 2, rest) reshape.
 
-Bit-identity invariant: every amplitude gets the same complex128
-operations, (lo + hi) * c and (lo - hi) * c with c = 1/sqrt2, in the same
+Bit-identity invariant: every amplitude gets the same operations in its
+own dtype, (lo + hi) * c and (lo - hi) * c with c = 1/sqrt2, in the same
 ascending qubit order as a whole-array sweep per qubit.  Tiling changes
 only where they run, so results match that sweep bit for bit, signed
-zeros included.  ``state_delta`` streams the same way and is exact.
+zeros included, in float64 and in complex128 alike.  ``state_delta``
+streams the same way and is exact.
+
+Across dtypes: on a complex128 state whose imaginary parts are all +0.0,
+complex add, subtract and real-scalar multiply give the float64
+operation's bits in the real part and keep every imaginary part +0.0.
+So the float64 layer is the real part of the complex128 layer bit for
+bit, and since abs(x + 0j) == |x| and re**2 + 0.0 == re**2, so are
+``state_delta`` and ``marginal``.
 
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
@@ -59,8 +71,10 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Amplitudes per cache tile (512 KiB of complex128), chosen by timing
-# Hadamard layers on 16- to 23-qubit states; it must be a power of two.
+# Amplitudes per cache tile (256 KiB of float64, 512 KiB of complex128),
+# chosen by timing Hadamard layers on 16- to 23-qubit states.  Retimed on
+# float64 at 17, 20 and 22 qubits, 2**16 and 2**17 were at most 15% faster,
+# inside run-to-run drift, and 2**14 was slower.  It must be a power of two.
 _TILE = 1 << 15
 
 # Amplitudes smaller than this are treated as numerical dust in dumps.
@@ -69,7 +83,11 @@ DUMP_EPS = 1e-12
 
 @dataclass
 class StateVector:
-    """2**qubits complex amplitudes; unit norm is maintained by every kernel."""
+    """2**qubits amplitudes; unit norm is maintained by every kernel.
+
+    A float64 ndarray is kept as float64, a real state at half the bytes.
+    Every other input, lists and other dtypes included, becomes complex128.
+    """
 
     qubits: int
     amps: np.ndarray
@@ -77,7 +95,9 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.qubits < 1:
             raise ValueError("qubit count must be >= 1")
-        self.amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
+        real = isinstance(self.amps, np.ndarray) and self.amps.dtype == np.float64
+        dtype = np.float64 if real else np.complex128
+        self.amps = np.ascontiguousarray(self.amps, dtype=dtype)
         if self.amps.shape != (1 << self.qubits,):
             raise DimensionMismatchError(
                 f"expected {1 << self.qubits} amplitudes, got {self.amps.shape}"
@@ -91,12 +111,12 @@ class StateVector:
 
 
 def basis_state(qubits: int, label: BitString) -> StateVector:
-    """The computational basis ket for the given label."""
+    """The computational basis ket for the given label, in float64."""
     if len(label) != qubits:
         raise DimensionMismatchError(
             f"label has {len(label)} bits for {qubits} qubits"
         )
-    amps = np.zeros(1 << qubits, dtype=np.complex128)
+    amps = np.zeros(1 << qubits)
     amps[label.to_int()] = 1.0
     return StateVector(qubits, amps)
 
@@ -137,8 +157,9 @@ def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVect
     m = state.qubits
     a = m // 2
     grid = state.amps.reshape(1 << a, 1 << (m - a))
-    tile = np.empty(min(grid.size, max(_TILE, grid.shape[1])), dtype=np.complex128)
-    spare = np.empty(tile.size // 2, dtype=np.complex128)
+    dtype = state.amps.dtype
+    tile = np.empty(min(grid.size, max(_TILE, grid.shape[1])), dtype=dtype)
+    spare = np.empty(tile.size // 2, dtype=dtype)
     # Row bits stream column slabs of the grid.  Column bits stream column
     # slabs of its transpose, which are row slabs copied out transposed.
     phases = (
@@ -161,15 +182,15 @@ def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVect
 def hadamard_of_key(n: int, gamma: BitString) -> StateVector:
     """Closed-form H-transform of a basis ket, built from parities, no gates.
 
-    Amplitude at index v is (-1)**dot(v, gamma) / sqrt(2**n).  Serves as an
-    independent reference for the gate-built result.
+    Amplitude at index v is (-1)**dot(v, gamma) / sqrt(2**n), in float64.
+    Serves as an independent reference for the gate-built result.
     """
     if len(gamma) != n:
         raise DimensionMismatchError(f"key has {len(gamma)} bits, expected {n}")
     g = np.uint64(gamma.to_int())
     indices = np.arange(1 << n, dtype=np.uint64)
     signs = 1.0 - 2.0 * (np.bitwise_count(indices & g) & 1).astype(np.float64)
-    return StateVector(n, signs * (2.0 ** (-n / 2.0)) + 0.0j)
+    return StateVector(n, signs * (2.0 ** (-n / 2.0)))
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -197,7 +218,8 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     """
     sel = _select_axes(state, qubits)
     m = state.qubits
-    probs = state.amps.real**2 + state.amps.imag**2
+    amps = state.amps
+    probs = amps**2 if amps.dtype == np.float64 else amps.real**2 + amps.imag**2
     rest = [q for q in range(m) if q not in sel]
     table = probs.reshape([2] * m).transpose(sel + rest).reshape(1 << len(sel), -1)
     return table.sum(axis=1)
@@ -253,7 +275,7 @@ def state_delta(a: StateVector, b: StateVector) -> float:
     """
     _check_same_size(a, b)
     size = min(_TILE, a.amps.size)
-    diff = np.empty(size, dtype=np.complex128)
+    diff = np.empty(size, dtype=np.result_type(a.amps, b.amps))
     mag = np.empty(size, dtype=np.float64)
     peaks = np.empty(a.amps.size // size)
     for j in range(peaks.size):
@@ -348,12 +370,14 @@ def dump_state(state: StateVector) -> str:
     """Debug dump: one "bits<TAB>re<TAB>im" line per non-negligible amplitude.
 
     Amplitudes with magnitude below 1e-12 are suppressed; parts print with
-    fixed 12-decimal formatting.
+    fixed 12-decimal formatting, and a part that rounds to zero prints as
+    0.000000000000 whatever its sign.
     """
     lines = []
     m = state.qubits
     for v in np.flatnonzero(np.abs(state.amps) >= DUMP_EPS):
-        amp = state.amps[v]
+        amp = complex(state.amps[v])
+        re, im = (round(part, 12) + 0.0 for part in (amp.real, amp.imag))
         label = str(BitString.from_int(m, int(v)))
-        lines.append(f"{label}\t{amp.real:.12f}\t{amp.imag:.12f}")
+        lines.append(f"{label}\t{re:.12f}\t{im:.12f}")
     return "\n".join(lines)

@@ -179,7 +179,12 @@ def _table_line(text: str) -> bytes:
     # ASCII digits only: str.isdigit also accepts "２" and "²".
     if len(head) != 2 or head[0] != "arity" or not re.fullmatch("[0-9]+", head[1]):
         raise ValueError(f"bad header line: {lines[0]!r}")
-    n = int(head[1])
+    digits = head[1].lstrip("0") or "0"
+    # Counted before int(), which refuses more than 4300 digits.
+    if len(digits) > len(str(MAX_ARITY)):
+        shown = digits if len(digits) <= 12 else f"of {len(digits)} digits"
+        raise CapacityError(f"arity {shown} exceeds limit {MAX_ARITY}")
+    n = int(digits)
     if n < 1:
         raise ValueError("arity must be >= 1")
     if n > MAX_ARITY:

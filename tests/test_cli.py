@@ -159,6 +159,35 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_unwritable_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed a document that cannot be written")
+
+    for name in cli.ALGORITHMS:
+        monkeypatch.setitem(cli.ALGORITHMS, name, (must_not_run, must_not_run))
+    monkeypatch.setattr(cli, "run_all", must_not_run)
+    monkeypatch.setattr(cli, "oracle_dense_matrix", must_not_run)
+    a_file = tmp_path / "plain"
+    a_file.write_text("")
+    targets = {
+        tmp_path / "missing" / "x.json": "No such file or directory",
+        a_file / "x.json": "Not a directory",
+        tmp_path: "Is a directory",
+    }
+    commands = [
+        ["run", "--algorithm", "ccnot-bva", "--gamma", "1" * 20],
+        ["sweep", "--n", "8"],
+        ["certify", "--n", "4"],
+        ["trace", "--algorithm", "pi", "--gamma", "101"],
+    ]
+    for target, reason in targets.items():
+        for argv in commands:
+            status, out, err = usage_error(capsys, *argv, "--output", str(target))
+            assert (status, out) == (2, ""), argv
+            assert err == f"error: cannot write --output {target}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_certify_exhaustive(capsys):
     status, doc = run_json(capsys, "certify", "--n", "2")
     assert status == 0

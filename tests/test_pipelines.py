@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import refsim
+from bvlab import pipelines
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.pipelines import (
     ALGORITHMS,
@@ -48,6 +49,19 @@ def test_recovery_calls_and_stage_checks(name):
             assert report.oracle_calls == EXPECTED_CALLS[name]
             assert report.stages_ok()
             assert abs(report.top_distribution[gamma.to_int()] - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_stages_and_references_are_float64(name):
+    pipeline, make = ALGORITHMS[name]
+    f = make(BitString.parse("101"))
+    report = pipeline(f, keep_states=True)
+    assert {st.amps.dtype for st in report.states.values()} == {np.dtype(np.float64)}
+    p = pipelines._PIPELINES[name]
+    key = p.read_key(f)
+    for stage, forms, _ in pipelines._circuit(p, f):
+        for _, form in forms:
+            assert pipelines._fold(form(p, f, key)).amps.dtype == np.float64, stage
 
 
 def test_pipeline_queries_leave_classical_counter_alone():

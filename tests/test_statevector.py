@@ -51,6 +51,16 @@ def signed_zero_state(m, seed):
     return st
 
 
+def real_signed_zero_state(m, seed):
+    """The real parts of signed_zero_state, stored as float64."""
+    return StateVector(m, signed_zero_state(m, seed).amps.real.copy())
+
+
+def as_complex(st):
+    """The same real state in complex128, every imaginary part +0.0."""
+    return StateVector(st.qubits, st.amps.astype(np.complex128))
+
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Both phases of the tiled layer span several tiles from 16 qubits on.
 MAX_M = 18
@@ -74,7 +84,7 @@ def layer_cases(draw):
 
 
 def same_bits(x, y):
-    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    return x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def test_statevector_validation():
@@ -85,10 +95,17 @@ def test_statevector_validation():
     st = StateVector(1, [1.0, 0.0])
     assert st.amps.dtype == np.complex128
     assert st.norm() == pytest.approx(1.0)
+    # Only a float64 array stays real; every other input becomes complex128.
+    assert StateVector(1, np.array([1.0, 0.0])).amps.dtype == np.float64
+    assert StateVector(1, np.array([1.0, 0.0], dtype=np.float32)).amps.dtype == (
+        np.complex128
+    )
+    assert StateVector(1, np.array([1, 0])).amps.dtype == np.complex128
 
 
 def test_basis_state():
     st = basis_state(3, BitString.parse("101"))
+    assert st.amps.dtype == np.float64
     assert st.amps[5] == 1.0
     assert np.count_nonzero(st.amps) == 1
     with pytest.raises(DimensionMismatchError):
@@ -127,11 +144,25 @@ def test_hadamard_qubit_range_checked():
 def test_layer_is_bit_identical_to_the_per_qubit_sweep(case):
     m, seed, qubits = case
     assert (1 << MAX_M) >= 8 * statevector._TILE
-    st = signed_zero_state(m, seed)
-    expected = st.amps.copy()
-    sweep_layer(expected, qubits)
-    apply_hadamard_layer(st, qubits)
-    assert same_bits(st.amps, expected)
+    for st in (signed_zero_state(m, seed), real_signed_zero_state(m, seed)):
+        expected = st.amps.copy()
+        sweep_layer(expected, qubits)
+        apply_hadamard_layer(st, qubits)
+        assert same_bits(st.amps, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(layer_cases())
+@example((MAX_M, 1, list(range(MAX_M))))
+@example((16, 2, [0, 7, 8, 15]))
+def test_float64_layer_is_the_real_part_of_the_complex_layer(case):
+    m, seed, qubits = case
+    real = real_signed_zero_state(m, seed)
+    full = as_complex(real)
+    apply_hadamard_layer(real, qubits)
+    apply_hadamard_layer(full, qubits)
+    assert same_bits(real.amps, full.amps.real.copy())
+    assert same_bits(full.amps.imag.copy(), np.zeros(1 << m))
 
 
 def test_layer_applies_qubits_in_ascending_order():
@@ -154,6 +185,7 @@ def test_layer_checks_every_qubit_before_touching_amplitudes():
 def test_layer_threads_match_serial_runs():
     rounds = 3
     states = [random_state(MAX_M, seed=70 + i) for i in range(4)]
+    states += [real_signed_zero_state(MAX_M, seed=80 + i) for i in range(4)]
     expected = []
     for st in states:
         alone = st.copy()
@@ -279,6 +311,21 @@ def test_state_delta_equals_whole_array_maximum(m, seed):
     assert state_delta(a, b) == float(np.max(np.abs(a.amps - b.amps)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st_.integers(1, MAX_M), st_.integers(0, 2**32 - 1))
+def test_float64_delta_and_marginal_match_complex128(m, seed):
+    a = real_signed_zero_state(m, seed)
+    b = real_signed_zero_state(m, seed + 2)
+    b.amps[: b.amps.size // 2] = a.amps[: a.amps.size // 2]
+    delta = state_delta(a, b).hex()
+    assert state_delta(as_complex(a), as_complex(b)).hex() == delta
+    assert state_delta(a, as_complex(b)).hex() == delta
+    for sel in [list(range(m)), [m - 1]] + [[m - 1, 0]] * (m > 1):
+        probs = marginal(a, sel)
+        assert probs.dtype == np.float64
+        assert same_bits(probs, marginal(as_complex(a), sel))
+
+
 def test_state_delta_propagates_nan():
     a = random_state(MAX_M, seed=3)
     b = a.copy()
@@ -337,4 +384,19 @@ def test_dump_state_format_and_dust():
     assert dump_state(minus).splitlines() == [
         "0\t0.707106781187\t0.000000000000",
         "1\t-0.707106781187\t0.000000000000",
+    ]
+
+
+def test_dump_state_prints_no_signed_zero():
+    st = StateVector(2, [
+        complex(0.5, -1e-14),
+        complex(-0.0, 0.5),
+        complex(-1e-14, -0.5),
+        complex(0.5, -0.0),
+    ])
+    assert dump_state(st).splitlines() == [
+        "00\t0.500000000000\t0.000000000000",
+        "01\t0.000000000000\t0.500000000000",
+        "10\t0.000000000000\t-0.500000000000",
+        "11\t0.500000000000\t0.000000000000",
     ]

@@ -157,6 +157,7 @@ def test_table_io_roundtrip():
         "arity 2\n0101\nextra\n",
         "arity 2\n01é1\n",  # non-ASCII, right length
         "arity 100000000\n01\n",  # over MAX_ARITY
+        pytest.param("arity " + "9" * 5000 + "\n01\n", id="arity of 5000 digits"),
         "arity ２\n0101\n",  # fullwidth digit
         "arity ²\n0101\n",  # superscript digit
     ],
@@ -185,6 +186,10 @@ def test_load_table_refuses_oversize_arity_before_allocating():
     try:
         with pytest.raises(CapacityError, match="arity 100000000 exceeds limit 24"):
             load_table("arity 100000000\n01\n")
+        with pytest.raises(CapacityError, match="arity of 5000 digits exceeds limit 24"):
+            load_table("arity " + "9" * 5000 + "\n01\n")
+        with pytest.raises(CapacityError, match="arity 25 exceeds limit 24"):
+            load_table("arity 00025\n01\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
