@@ -84,10 +84,14 @@ def _phase_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
 
 
 def _two_register_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
-    # Target flips where the two table reads disagree.
+    # Target flips where the two table reads disagree: swap the pair halves
+    # in place under that mask, an exact permutation without a gather.
     blocks = amps.reshape(*amps.shape[:-1], 1 << n, 1 << n, 2)
     differs = (table[:, None] ^ table[None, :]).astype(bool)
-    blocks[..., differs, :] = blocks[..., differs, ::-1]
+    lo, hi = blocks[..., 0], blocks[..., 1]
+    held = lo.copy()
+    np.copyto(lo, hi, where=differs)
+    np.copyto(hi, held, where=differs)
 
 
 def _single_xor_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:

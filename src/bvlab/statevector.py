@@ -11,25 +11,30 @@ given.
 
 A Hadamard layer views the array as a (2**a, 2**(m-a)) grid with
 a = m // 2 and streams it through buffers of at most ``_TILE`` amplitudes,
-so each butterfly pass runs in cache.  Qubits q < a are row bits: a slab
-of whole columns is copied out, transformed and copied back.  Qubits
-q >= a are column bits: a slab of whole rows is copied out transposed, so
-they become row bits with long contiguous inner loops.  Inside a buffer,
-row bit k pairs the two halves of a (2**k, 2, rest) reshape.
+so each pass runs in cache.  Qubits q < a are row bits: a slab of whole
+columns is copied out, transformed and copied back.  Qubits q >= a are
+column bits: a slab of whole rows is copied out transposed, so they become
+row bits with long contiguous inner loops.  Inside a buffer, the listed
+row bits are grouped into runs of up to ``_RUN`` consecutive bits, and a
+run of g bits starting at bit k is one matrix product of the 2**g x 2**g
+matrix H(x)g with the middle axis of a (2**k, 2**g, rest) reshape (the
+fast Walsh-Hadamard transform in radix 2**g, as in Fino & Algazi 1976).
+The product cannot write over its input, so runs alternate between the
+tile and a spare buffer of the same size.
 
-Bit-identity invariant: every amplitude gets the same operations in its
-own dtype, (lo + hi) * c and (lo - hi) * c with c = 1/sqrt2, in the same
-ascending qubit order as a whole-array sweep per qubit.  Tiling changes
-only where they run, so results match that sweep bit for bit, signed
-zeros included, in float64 and in complex128 alike.  ``state_delta``
-streams the same way and is exact.
+Accuracy invariant: the fused blocks sum up to 2**g products per
+amplitude where a per-qubit sweep does g rounded butterflies, so results
+are no longer the sweep's bits; every amplitude stays within 1e-14 of
+that sweep.  The bits are deterministic for a given ``_TILE``: the same
+on every run and under any BLAS or caller thread count.  They may change
+with ``_TILE``, because BLAS takes another code path on products with very
+few columns.  ``state_delta`` streams the same way and is exact.
 
-Across dtypes: on a complex128 state whose imaginary parts are all +0.0,
-complex add, subtract and real-scalar multiply give the float64
-operation's bits in the real part and keep every imaginary part +0.0.
-So the float64 layer is the real part of the complex128 layer bit for
-bit, and since abs(x + 0j) == |x| and re**2 + 0.0 == re**2, so are
-``state_delta`` and ``marginal``.
+Across dtypes: the float64 layer runs real products and a complex128
+layer complex ones, so on a real state held as complex128 the real parts
+agree with the float64 layer to within 1e-14, not bit for bit, and every
+imaginary part stays 0.  ``state_delta`` and ``marginal`` are the same
+bits in both dtypes, since abs(x + 0j) == |x| and re**2 + 0.0 == re**2.
 
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
@@ -69,13 +74,36 @@ __all__ = [
     "DUMP_EPS",
 ]
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
 # Amplitudes per cache tile (256 KiB of float64, 512 KiB of complex128),
-# chosen by timing Hadamard layers on 16- to 23-qubit states.  Retimed on
-# float64 at 17, 20 and 22 qubits, 2**16 and 2**17 were at most 15% faster,
-# inside run-to-run drift, and 2**14 was slower.  It must be a power of two.
+# chosen by timing Hadamard layers on 16- to 23-qubit states.  Retimed with
+# fused blocks at 17, 20 and 22 qubits, 2**14 was slower and 2**16 and
+# 2**17 stayed within run-to-run drift.  It sets the shape of every
+# product, so changing it changes the layer's last bits.  It must be a
+# power of two.
 _TILE = 1 << 15
+
+# Most row bits fused into one product.  Full float64 layers at 17/20/22
+# qubits on 2 cores took 0.9/8.5/45 ms with 4, 0.8-1.1/9-13/47-63 ms
+# with 3, and longer with 2, 5 or 6.
+_RUN = 4
+
+
+def _h_block(g: int) -> np.ndarray:
+    """H(x)g as a read-only float64 matrix, the g-fold Kronecker power of H.
+
+    Entries are products of the sweep's rounded c = 1/sqrt2, not the
+    correctly rounded 2**(-g/2), so the layer keeps the rounding of the
+    per-qubit sweep it is held to.
+    """
+    c = 1.0 / math.sqrt(2.0)
+    block = np.ones((1, 1))
+    for _ in range(g):
+        block = np.kron(block, [[c, c], [c, -c]])
+    block.flags.writeable = False
+    return block
+
+
+_H_BLOCKS = {g: _h_block(g) for g in range(1, _RUN + 1)}
 
 # Amplitudes smaller than this are treated as numerical dust in dumps.
 DUMP_EPS = 1e-12
@@ -126,30 +154,46 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
         raise IndexError(f"qubit {qubit} out of range for {state.qubits}-qubit state")
 
 
-def _butterflies(buf: np.ndarray, bits: Sequence[int], spare: np.ndarray) -> None:
-    """Hadamard on each listed row bit of a contiguous (rows, cols) buffer.
-
-    Bit k of the row index pairs the half-blocks of a (2**k, 2, rest)
-    reshape.  ``spare`` holds at least half the buffer.
-    """
+def _runs(bits: Sequence[int]) -> list[tuple[int, int]]:
+    """(first bit, length) of each run of up to _RUN consecutive bits."""
+    runs: list[tuple[int, int]] = []
     for k in bits:
-        pairs = buf.reshape(1 << k, 2, -1)
-        lo = pairs[:, 0, :]
-        hi = pairs[:, 1, :]
-        t = spare[: lo.size].reshape(lo.shape)
-        np.add(lo, hi, out=t)
-        np.subtract(lo, hi, out=hi)
-        np.multiply(t, _INV_SQRT2, out=lo)
-        np.multiply(hi, _INV_SQRT2, out=hi)
+        if runs and runs[-1][0] + runs[-1][1] == k and runs[-1][1] < _RUN:
+            start, length = runs[-1]
+            runs[-1] = (start, length + 1)
+        else:
+            runs.append((k, 1))
+    return runs
+
+
+def _fused_blocks(
+    buf: np.ndarray, runs: Sequence[tuple[int, int]], other: np.ndarray
+) -> np.ndarray:
+    """H on each run's row bits of a contiguous buffer; returns the result.
+
+    Run (k, g) multiplies H(x)g into the middle axis of a
+    (2**k, 2**g, rest) reshape.  Each product reads one of ``buf`` and
+    ``other`` (same shape) and writes the other, so the result ends in
+    whichever the last run wrote.
+    """
+    src, dst = buf, other
+    for k, g in runs:
+        np.matmul(
+            _H_BLOCKS[g],
+            src.reshape(1 << k, 1 << g, -1),
+            out=dst.reshape(1 << k, 1 << g, -1),
+        )
+        src, dst = dst, src
+    return src
 
 
 def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVector:
     """Hadamard on each listed qubit, in ascending qubit order; in place.
 
-    Every qubit is range-checked before any amplitude changes.  The order
-    fixes the rounding, so it is part of the result: see the module
-    docstring for the tiling, which leaves each amplitude's operations as a
-    qubit-by-qubit sweep would do them.
+    Every qubit is range-checked before any amplitude changes.  Runs of
+    consecutive qubits are fused into one product each; see the module
+    docstring for the tiling and for how close the result stays to a
+    qubit-by-qubit sweep.
     """
     order = sorted(qubits)
     for q in order:
@@ -159,7 +203,7 @@ def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVect
     grid = state.amps.reshape(1 << a, 1 << (m - a))
     dtype = state.amps.dtype
     tile = np.empty(min(grid.size, max(_TILE, grid.shape[1])), dtype=dtype)
-    spare = np.empty(tile.size // 2, dtype=dtype)
+    spare = np.empty_like(tile)
     # Row bits stream column slabs of the grid.  Column bits stream column
     # slabs of its transpose, which are row slabs copied out transposed.
     phases = (
@@ -169,13 +213,14 @@ def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVect
     for view, bits in phases:
         if not bits:
             continue
+        runs = _runs(bits)
         width = max(1, _TILE // view.shape[0])
         for c in range(0, view.shape[1], width):
             slab = view[:, c : c + width]
             buf = tile[: slab.size].reshape(slab.shape)
             np.copyto(buf, slab)
-            _butterflies(buf, bits, spare)
-            np.copyto(slab, buf)
+            other = spare[: slab.size].reshape(slab.shape)
+            np.copyto(slab, _fused_blocks(buf, runs, other))
     return state
 
 

@@ -271,9 +271,9 @@ def test_sweep_cap(capsys):
 
 def test_sweep_thread_env(capsys, monkeypatch):
     # n=6 gives the two workers 64 keys, up to 13-qubit states, so their
-    # runs interleave; the 18-qubit multi-tile thread case is in
-    # test_statevector.py.
-    for n, threads in (("2", "4"), ("6", "2")):
+    # runs interleave; n=8 reaches 17-qubit states, whose Hadamard layers
+    # span several tiles while both workers' products may use BLAS threads.
+    for n, threads in (("2", "4"), ("6", "2"), ("8", "2")):
         monkeypatch.setenv("BVLAB_THREADS", "1")
         status, serial = run_cli(capsys, "sweep", "--n", n)
         assert status == 0

@@ -1,6 +1,9 @@
 """State engine vs dense reference: gates, marginals, checks, dumps."""
 
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -64,10 +67,15 @@ def as_complex(st):
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Both phases of the tiled layer span several tiles from 16 qubits on.
 MAX_M = 18
+# The fused layer sums each amplitude's products in another order than a
+# per-qubit sweep, so it is held to this distance instead of the bits.
+LAYER_TOL = 1e-14
+# Widest state checked against refsim's dense layer matrix.
+DENSE_M = 8
 
 
 def sweep_layer(amps, qubits):
-    """The per-qubit sweep the tiled layer replaced, kept as its reference."""
+    """The per-qubit butterfly sweep, kept as the fused layer's reference."""
     for q in qubits:
         pairs = amps.reshape(1 << q, 2, -1)
         lo = pairs[:, 0, :].copy()
@@ -141,28 +149,37 @@ def test_hadamard_qubit_range_checked():
 @given(layer_cases())
 @example((MAX_M, 1, list(range(MAX_M))))
 @example((16, 2, [0, 7, 8, 15]))
-def test_layer_is_bit_identical_to_the_per_qubit_sweep(case):
+@example((MAX_M, 3, [0, 3, 4, 5, 9, 17]))
+def test_layer_is_within_tol_of_the_per_qubit_sweep(case):
     m, seed, qubits = case
     assert (1 << MAX_M) >= 8 * statevector._TILE
     for st in (signed_zero_state(m, seed), real_signed_zero_state(m, seed)):
-        expected = st.amps.copy()
-        sweep_layer(expected, qubits)
+        swept = st.amps.copy()
+        sweep_layer(swept, qubits)
+        references = [swept]
+        if m <= DENSE_M:
+            references.append(refsim.h_layer(m, qubits) @ st.amps)
         apply_hadamard_layer(st, qubits)
-        assert same_bits(st.amps, expected)
+        assert st.amps.dtype == swept.dtype
+        for expected in references:
+            assert np.max(np.abs(st.amps - expected)) <= LAYER_TOL
 
 
 @settings(max_examples=30, deadline=None)
 @given(layer_cases())
 @example((MAX_M, 1, list(range(MAX_M))))
 @example((16, 2, [0, 7, 8, 15]))
-def test_float64_layer_is_the_real_part_of_the_complex_layer(case):
+def test_float64_layer_is_within_tol_of_the_complex_layer(case):
+    # Real products and complex products may round apart, so the real
+    # parts agree to within LAYER_TOL; no imaginary part may appear.
     m, seed, qubits = case
     real = real_signed_zero_state(m, seed)
     full = as_complex(real)
     apply_hadamard_layer(real, qubits)
     apply_hadamard_layer(full, qubits)
-    assert same_bits(real.amps, full.amps.real.copy())
-    assert same_bits(full.amps.imag.copy(), np.zeros(1 << m))
+    assert real.amps.dtype == np.float64
+    assert np.max(np.abs(real.amps - full.amps.real)) <= LAYER_TOL
+    assert np.all(full.amps.imag == 0.0)
 
 
 def test_layer_applies_qubits_in_ascending_order():
@@ -204,6 +221,38 @@ def test_layer_threads_match_serial_runs():
             future.result(timeout=120)
     for st, amps in zip(states, expected):
         assert same_bits(st.amps, amps)
+
+
+# Builds the input without np.linalg.norm, whose BLAS dot could make the
+# input itself depend on the thread count.
+_LAYER_HASHES = """
+import hashlib
+import numpy as np
+from bvlab.statevector import StateVector, apply_hadamard_layer
+m = 18
+amps = np.random.default_rng(5).normal(size=1 << m) * 2.0 ** (-m / 2)
+for qubits in (range(m), [0, 3, 4, 5, 9, 17]):
+    st = apply_hadamard_layer(StateVector(m, amps.copy()), qubits)
+    print(hashlib.sha256(st.amps.tobytes()).hexdigest())
+"""
+
+
+def test_layer_bytes_do_not_depend_on_blas_threads():
+    # All qubits gives full 4-bit runs on wide slabs; the second set gives
+    # runs of 1 to 3 bits, some on narrow slabs.
+    hashes = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAYER_HASHES],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 2
+    assert hashes[0] == hashes[1]
 
 
 def test_layer_matches_dense_reference():
