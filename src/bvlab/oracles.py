@@ -2,8 +2,8 @@
 
 Every oracle here is classical on basis labels: it permutes amplitudes (or
 flips their signs) according to a truth-table read, so application costs
-O(2**m) instead of the O(4**m) of a matrix product.  Each kernel acts on
-the last axis of a ``(..., 2**m)`` array and keeps its dtype.  The dense
+O(2**m) instead of the O(4**m) of a matrix product.  Each kernel acts in
+place on the last axis of a float64 ``(..., 2**m)`` array.  The dense
 matrix, only for verifying unitarity, self-adjointness, and permutation or
 signed-diagonal structure on small registers, is one kernel call on the
 rows of the float64 identity, transposed; its entries are 0, 1 or -1.

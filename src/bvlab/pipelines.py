@@ -297,10 +297,10 @@ def _run(
     checks: list[StageCheck] = []
     states: dict[str, StateVector] = {}
     for stage, forms, state in _circuit(p, f):
-        if not record_stages:
-            continue
         if keep_states:
             states[stage] = state.copy()
+        if not record_stages:
+            continue
         for comparator, form in forms:
             deviation = state_delta(state, _fold(form(p, f, key)))
             checks.append(StageCheck(stage, comparator, deviation, deviation <= tol))
@@ -437,7 +437,7 @@ def analyze_bva_on_pi(gamma: BitString, tol: float = 1e-9) -> PhaseAnalysis:
     # Plain-parity amplitude at (gamma, 0) would be +1/sqrt(2); the ratio
     # read off that slot is the acquired factor.
     slot = (gamma.to_int() << 1) | 0
-    measured = float(np.real(state.amps[slot] * np.sqrt(2.0)))
+    measured = float(state.amps[slot] * np.sqrt(2.0))
     predicted = -1.0 if gamma.dot(gamma) else 1.0
     return PhaseAnalysis(
         gamma=gamma,

@@ -1,13 +1,11 @@
 """Dense state-vector engine: amplitude storage, Hadamard layers, marginals.
 
-Amplitudes live in one flat array of length 2**m.  Index v holds the
-amplitude of the basis ket labeled by the big-endian bit string of v, so
-qubit 0 is the most significant index bit and is drawn topmost in circuit
-layouts.  The array is float64 when every amplitude is real and complex128
-otherwise.  The pipelines apply only real gates (Hadamard, bit-flip
-permutations, +-1 signs) to real basis states, so they run in float64 at
-half the bytes; every kernel here and in ``oracles`` keeps the dtype it is
-given.
+Amplitudes live in one flat float64 array of length 2**m.  Index v holds
+the amplitude of the basis ket labeled by the big-endian bit string of v,
+so qubit 0 is the most significant index bit and is drawn topmost in
+circuit layouts.  Every gate the pipelines apply is real (Hadamard,
+bit-flip permutations, +-1 signs) and every start state is a basis ket, so
+amplitudes, matrices and read-outs are real numbers throughout.
 
 A Hadamard layer views the array as a (2**a, 2**(m-a)) grid with
 a = m // 2 and streams it through buffers of at most ``_TILE`` amplitudes,
@@ -29,12 +27,6 @@ that sweep.  The bits are deterministic for a given ``_TILE``: the same
 on every run and under any BLAS or caller thread count.  They may change
 with ``_TILE``, because BLAS takes another code path on products with very
 few columns.  ``state_delta`` streams the same way and is exact.
-
-Across dtypes: the float64 layer runs real products and a complex128
-layer complex ones, so on a real state held as complex128 the real parts
-agree with the float64 layer to within 1e-14, not bit for bit, and every
-imaginary part stays 0.  ``state_delta`` and ``marginal`` are the same
-bits in both dtypes, since abs(x + 0j) == |x| and re**2 + 0.0 == re**2.
 
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
@@ -74,12 +66,11 @@ __all__ = [
     "DUMP_EPS",
 ]
 
-# Amplitudes per cache tile (256 KiB of float64, 512 KiB of complex128),
-# chosen by timing Hadamard layers on 16- to 23-qubit states.  Retimed with
-# fused blocks at 17, 20 and 22 qubits, 2**14 was slower and 2**16 and
-# 2**17 stayed within run-to-run drift.  It sets the shape of every
-# product, so changing it changes the layer's last bits.  It must be a
-# power of two.
+# Amplitudes per cache tile (256 KiB), chosen by timing Hadamard layers on
+# 16- to 23-qubit states.  Retimed with fused blocks at 17, 20 and 22
+# qubits, 2**14 was slower and 2**16 and 2**17 stayed within run-to-run
+# drift.  It sets the shape of every product, so changing it changes the
+# layer's last bits.  It must be a power of two.
 _TILE = 1 << 15
 
 # Most row bits fused into one product.  Full float64 layers at 17/20/22
@@ -109,12 +100,27 @@ _H_BLOCKS = {g: _h_block(g) for g in range(1, _RUN + 1)}
 DUMP_EPS = 1e-12
 
 
+def _real(values) -> np.ndarray:
+    """Any array-like as float64; the one input rule for states and matrices.
+
+    Complex input is accepted only when every imaginary part is zero (+0.0
+    or -0.0) and becomes its real part; a nonzero imaginary part raises
+    ValueError.  Lists, integers, bools and other float widths convert.
+    """
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        if np.any(arr.imag != 0.0):
+            raise ValueError("amplitudes must be real: nonzero imaginary part")
+        arr = arr.real
+    return arr.astype(np.float64, copy=False)
+
+
 @dataclass
 class StateVector:
-    """2**qubits amplitudes; unit norm is maintained by every kernel.
+    """2**qubits float64 amplitudes; unit norm is maintained by every kernel.
 
-    A float64 ndarray is kept as float64, a real state at half the bytes.
-    Every other input, lists and other dtypes included, becomes complex128.
+    Input passes through ``_real``: a float64 ndarray is kept as it is, and
+    a nonzero imaginary part is refused with ValueError.
     """
 
     qubits: int
@@ -123,9 +129,7 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.qubits < 1:
             raise ValueError("qubit count must be >= 1")
-        real = isinstance(self.amps, np.ndarray) and self.amps.dtype == np.float64
-        dtype = np.float64 if real else np.complex128
-        self.amps = np.ascontiguousarray(self.amps, dtype=dtype)
+        self.amps = np.ascontiguousarray(_real(self.amps))
         if self.amps.shape != (1 << self.qubits,):
             raise DimensionMismatchError(
                 f"expected {1 << self.qubits} amplitudes, got {self.amps.shape}"
@@ -201,8 +205,7 @@ def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVect
     m = state.qubits
     a = m // 2
     grid = state.amps.reshape(1 << a, 1 << (m - a))
-    dtype = state.amps.dtype
-    tile = np.empty(min(grid.size, max(_TILE, grid.shape[1])), dtype=dtype)
+    tile = np.empty(min(grid.size, max(_TILE, grid.shape[1])))
     spare = np.empty_like(tile)
     # Row bits stream column slabs of the grid.  Column bits stream column
     # slabs of its transpose, which are row slabs copied out transposed.
@@ -263,8 +266,7 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     """
     sel = _select_axes(state, qubits)
     m = state.qubits
-    amps = state.amps
-    probs = amps**2 if amps.dtype == np.float64 else amps.real**2 + amps.imag**2
+    probs = state.amps**2
     rest = [q for q in range(m) if q not in sel]
     table = probs.reshape([2] * m).transpose(sel + rest).reshape(1 << len(sel), -1)
     return table.sum(axis=1)
@@ -315,19 +317,18 @@ def _check_same_size(a: StateVector, b: StateVector) -> None:
 def state_delta(a: StateVector, b: StateVector) -> float:
     """Largest entrywise amplitude difference.
 
-    Streams both states through one tile-sized buffer pair; each |a - b| is
+    Streams both states through one tile-sized buffer; each |a - b| is
     computed exactly as on the whole arrays, so the maximum is the same.
     """
     _check_same_size(a, b)
     size = min(_TILE, a.amps.size)
-    diff = np.empty(size, dtype=np.result_type(a.amps, b.amps))
-    mag = np.empty(size, dtype=np.float64)
+    diff = np.empty(size)
     peaks = np.empty(a.amps.size // size)
     for j in range(peaks.size):
         chunk = slice(j * size, (j + 1) * size)
         np.subtract(a.amps[chunk], b.amps[chunk], out=diff)
-        np.abs(diff, out=mag)
-        peaks[j] = mag.max()
+        np.abs(diff, out=diff)
+        peaks[j] = diff.max()
     return float(peaks.max())
 
 
@@ -339,42 +340,32 @@ def state_close(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
 def state_close_up_to_global_phase(
     a: StateVector, b: StateVector, tol: float = 1e-9
 ) -> bool:
-    """Comparison modulo one overall unit factor.
+    """Comparison modulo one overall factor, which for real states is +-1.
 
-    The factor is read off the largest-magnitude entry of b; never used
-    silently by pipeline checks, which state their comparator.
+    Never used silently by pipeline checks, which state their comparator.
     """
-    _check_same_size(a, b)
-    pivot = int(np.argmax(np.abs(b.amps)))
-    ref = b.amps[pivot]
-    if abs(ref) < DUMP_EPS:
-        return state_delta(a, b) <= tol
-    phase = a.amps[pivot] / ref
-    mag = abs(phase)
-    phase = phase / mag if mag > 0.0 else 1.0
-    return float(np.max(np.abs(a.amps - phase * b.amps))) <= tol
+    flipped = StateVector(b.qubits, -b.amps)
+    return min(state_delta(a, b), state_delta(a, flipped)) <= tol
 
 
 def _as_square(matrix: np.ndarray) -> np.ndarray:
-    # Real and complex input keep their dtype; integer and bool become float64.
-    m = np.asarray(matrix)
-    m = m.astype(np.result_type(m, 1.0), copy=False)
+    m = _real(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M†M - I| <= tol."""
+    """max |M^T M - I| <= tol."""
     m = _as_square(matrix)
-    residue = m.conj().T @ m - np.eye(m.shape[0])
+    residue = m.T @ m - np.eye(m.shape[0])
     return float(np.max(np.abs(residue))) <= tol
 
 
 def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M - M†| <= tol."""
+    """max |M - M^T| <= tol."""
     m = _as_square(matrix)
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
+    return float(np.max(np.abs(m - m.T))) <= tol
 
 
 def check_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
@@ -414,15 +405,14 @@ def split_singular_values(state: StateVector, left_qubits: int) -> np.ndarray:
 def dump_state(state: StateVector) -> str:
     """Debug dump: one "bits<TAB>re<TAB>im" line per non-negligible amplitude.
 
-    Amplitudes with magnitude below 1e-12 are suppressed; parts print with
-    fixed 12-decimal formatting, and a part that rounds to zero prints as
-    0.000000000000 whatever its sign.
+    Amplitudes with magnitude below 1e-12 are suppressed; re prints with
+    fixed 12-decimal formatting, as 0.000000000000 whatever its sign when
+    it rounds to zero, and im is always 0.000000000000.
     """
     lines = []
     m = state.qubits
     for v in np.flatnonzero(np.abs(state.amps) >= DUMP_EPS):
-        amp = complex(state.amps[v])
-        re, im = (round(part, 12) + 0.0 for part in (amp.real, amp.imag))
+        re = round(float(state.amps[v]), 12) + 0.0
         label = str(BitString.from_int(m, int(v)))
-        lines.append(f"{label}\t{re:.12f}\t{im:.12f}")
+        lines.append(f"{label}\t{re:.12f}\t0.000000000000")
     return "\n".join(lines)

@@ -60,7 +60,6 @@ class BooleanFunction:
         table: Iterable[int] | np.ndarray,
         *,
         counting: bool = False,
-        arity_limit: int = MAX_ARITY,
     ) -> None:
         arr = np.asarray(table, dtype=np.uint8)
         if arr.ndim != 1 or arr.size < 2 or (arr.size & (arr.size - 1)) != 0:
@@ -68,8 +67,8 @@ class BooleanFunction:
         if not np.all(arr <= 1):
             raise ValueError("table entries must be 0 or 1")
         arity = arr.size.bit_length() - 1
-        if arity > arity_limit:
-            raise CapacityError(f"arity {arity} exceeds limit {arity_limit}")
+        if arity > MAX_ARITY:
+            raise CapacityError(f"arity {arity} exceeds limit {MAX_ARITY}")
         self.arity = arity
         self.table = arr
         self.counting = counting

@@ -154,9 +154,15 @@ def test_non_deterministic_table_is_reported_not_hidden():
 
 
 def test_tight_tolerance_is_honored():
-    report = run_bva(bv_function(BitString.parse("101")), tol=1e-30)
-    assert report.recovered is None  # float dust exceeds an impossible bar
-    assert report.failure is not None
+    # AND spreads the read-out evenly: 0.25 per outcome, exactly.  It is
+    # certain only when 1 - tol <= 0.25, and then the first outcome wins.
+    f = BooleanFunction([0, 0, 0, 1])
+    strict = run_bva(f, tol=0.74)
+    assert strict.recovered is None
+    assert strict.failure is not None
+    loose = run_bva(f, tol=0.76)
+    assert loose.recovered == BitString.parse("00")
+    assert loose.failure is None
 
 
 def test_stage_recording_toggles():
@@ -164,8 +170,14 @@ def test_stage_recording_toggles():
     bare = run_bva(f, record_stages=False)
     assert bare.stage_checks == ()
     assert bare.states == {}
+    stages = {"initial", "after-h-layer", "after-oracle", "final"}
     kept = run_bva(f, keep_states=True)
-    assert set(kept.states) == {"initial", "after-h-layer", "after-oracle", "final"}
+    assert set(kept.states) == stages
+    unchecked = run_bva(f, record_stages=False, keep_states=True)
+    assert unchecked.stage_checks == ()
+    assert set(unchecked.states) == stages
+    for stage, state in unchecked.states.items():
+        assert np.array_equal(state.amps, kept.states[stage].amps), stage
 
 
 def test_report_serialization_shape():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from bvlab import truthtable
 from bvlab.bitstring import BitString, all_bitstrings, basis_e, basis_k
 from bvlab.errors import CapacityError, DimensionMismatchError
 from bvlab.truthtable import (
@@ -23,16 +24,18 @@ from bvlab.truthtable import (
 )
 
 
-def test_table_validation():
+def test_table_validation(monkeypatch):
     with pytest.raises(ValueError):
         BooleanFunction([0, 1, 0])  # not a power of two
     with pytest.raises(ValueError):
         BooleanFunction([0])  # arity zero
     with pytest.raises(ValueError):
         BooleanFunction([0, 2])
-    with pytest.raises(CapacityError):
-        BooleanFunction(np.zeros(4, dtype=np.uint8), arity_limit=1)
     assert MAX_ARITY == 24
+    # The limit is read at call time, so a lowered one refuses arity 2.
+    monkeypatch.setattr(truthtable, "MAX_ARITY", 1)
+    with pytest.raises(CapacityError):
+        BooleanFunction(np.zeros(4, dtype=np.uint8))
 
 
 @pytest.mark.parametrize(
