@@ -198,8 +198,9 @@ def _certify_functions(n: int, seed: int) -> tuple[str, list[BooleanFunction]]:
 
 
 def _certify_text(doc: dict) -> str:
+    seed = f"seed={doc['seed']}  " if "seed" in doc else ""
     lines = [
-        f"oracle certification  n={doc['n']}  mode={doc['mode']}  "
+        f"oracle certification  n={doc['n']}  mode={doc['mode']}  {seed}"
         f"functions per kind={doc['functions_per_kind']}  "
         f"tolerance={doc['tolerance']:g}",
         f"{'kind':<14} {'structure':<16} {'unitary':<8} "
@@ -228,13 +229,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
         )
 
     mode, functions = _certify_functions(args.n, args.seed)
-    doc: dict = {
-        "n": args.n,
-        "mode": mode,
-        "functions_per_kind": len(functions),
-        "tolerance": args.tolerance,
-        "kinds": {},
-    }
+    doc: dict = {"n": args.n, "mode": mode}
+    if mode == "random":
+        # Names the draw, so documents from different seeds differ.
+        doc["seed"] = args.seed
+    doc["functions_per_kind"] = len(functions)
+    doc["tolerance"] = args.tolerance
+    doc["kinds"] = {}
     all_passed = True
     for kind in OracleKind:
         structure_check = {

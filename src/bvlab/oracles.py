@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
-from .statevector import StateVector
+from .statevector import _TILE, StateVector
 from .truthtable import BooleanFunction
 
 __all__ = [
@@ -85,13 +85,22 @@ def _phase_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
 
 def _two_register_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Target flips where the two table reads disagree: swap the pair halves
-    # in place under that mask, an exact permutation without a gather.
-    blocks = amps.reshape(*amps.shape[:-1], 1 << n, 1 << n, 2)
-    differs = (table[:, None] ^ table[None, :]).astype(bool)
-    lo, hi = blocks[..., 0], blocks[..., 1]
-    held = lo.copy()
-    np.copyto(lo, hi, where=differs)
-    np.copyto(hi, held, where=differs)
+    # in place under that mask, an exact permutation without a gather.  The
+    # swap runs over blocks of whole states, or of x rows of one state, so
+    # it holds at most _TILE amplitudes.
+    blocks = amps.reshape(-1, 1 << n, 1 << n, 2)
+    states = max(1, _TILE >> (2 * n))
+    rows = min(max(1, _TILE >> n), 1 << n)
+    held = np.empty((min(states, len(blocks)), rows, 1 << n))
+    differs = np.empty((rows, 1 << n), dtype=bool)
+    for b in range(0, len(blocks), states):
+        for x in range(0, 1 << n, rows):
+            block = blocks[b : b + states, x : x + rows]
+            lo, hi, kept = block[..., 0], block[..., 1], held[: len(block)]
+            np.not_equal(table[x : x + rows, None], table, out=differs)
+            np.copyto(kept, lo)
+            np.copyto(lo, hi, where=differs)
+            np.copyto(hi, kept, where=differs)
 
 
 def _single_xor_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:

@@ -12,8 +12,10 @@ algorithm: its count of n-qubit data registers, its key reader, the
 single-qubit kets that follow the data block after the first Hadamard
 layer and after the last oracle, and its oracle steps with the closed
 forms checked after each.  ``_circuit`` applies a record's layers and
-``_run`` checks each stage, then reads out.  Each reference is a left fold
-of ``tensor`` over the factors its closed form lists.
+``_run`` checks each stage, then reads out.  Each reference is the left
+Kronecker fold of the factors its closed form lists; ``state_delta``
+streams that fold chunk by chunk against the state, so no full-size
+reference is ever built.
 
 Register layouts (qubit 0 topmost, most significant):
 
@@ -50,7 +52,7 @@ from .statevector import (
     measure_certain,  # noqa: F401  not called here; benchmarks/tracing.py swaps it
     split_singular_values,
     state_delta,
-    tensor,
+    tensor,  # noqa: F401  not called here; benchmarks/tracing.py swaps it
 )
 from .truthtable import BooleanFunction, bv_function, pi_function
 
@@ -157,12 +159,14 @@ def _complement_read_key(f: BooleanFunction) -> BitString:
 
 
 # Closed forms.  Each maps (record, table, expected key) to the factors
-# whose left fold by tensor is the whole state at one stage.
+# whose left Kronecker fold is the whole state at one stage.
 
 
 def _initial(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
-    start = p.start(f.arity)
-    return [basis_state(len(start), start)]
+    """The start label as a zero data block, then one ket per spread qubit."""
+    m = p.registers * f.arity
+    tail = [basis_state(1, BitString.of([int(s == "-")])) for s in p.spread]
+    return [basis_state(m, BitString.zeros(m)), *tail]
 
 
 def _spread(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
@@ -275,14 +279,6 @@ def _state_after(algorithm: str, f: BooleanFunction, stop: str) -> StateVector:
     return next(state for stage, _, state in layers if stage == stop)
 
 
-def _fold(factors: list[StateVector]) -> StateVector:
-    """Left fold of tensor over the factors, in their order."""
-    whole = factors[0]
-    for factor in factors[1:]:
-        whole = tensor(whole, factor)
-    return whole
-
-
 def _run(
     algorithm: str,
     f: BooleanFunction,
@@ -302,7 +298,7 @@ def _run(
         if not record_stages:
             continue
         for comparator, form in forms:
-            deviation = state_delta(state, _fold(form(p, f, key)))
+            deviation = state_delta(state, *form(p, f, key))
             checks.append(StageCheck(stage, comparator, deviation, deviation <= tol))
     top = marginal(state, range(n))
     middle = marginal(state, range(n, 2 * n)) if p.registers == 2 else None

@@ -26,7 +26,12 @@ are no longer the sweep's bits; every amplitude stays within 1e-14 of
 that sweep.  The bits are deterministic for a given ``_TILE``: the same
 on every run and under any BLAS or caller thread count.  They may change
 with ``_TILE``, because BLAS takes another code path on products with very
-few columns.  ``state_delta`` streams the same way and is exact.
+few columns.
+
+``state_delta`` streams the same way: it compares a state with a lazy
+left Kronecker fold of factor states, building each ``_TILE`` chunk of
+the fold in a tile buffer with the products np.kron would compute, so the
+result is exact and no full-size reference is ever allocated.
 
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
@@ -235,10 +240,16 @@ def hadamard_of_key(n: int, gamma: BitString) -> StateVector:
     """
     if len(gamma) != n:
         raise DimensionMismatchError(f"key has {len(gamma)} bits, expected {n}")
-    g = np.uint64(gamma.to_int())
-    indices = np.arange(1 << n, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(indices & g) & 1).astype(np.float64)
-    return StateVector(n, signs * (2.0 ** (-n / 2.0)))
+    masked = np.arange(1 << n, dtype=np.uint64)
+    np.bitwise_and(masked, np.uint64(gamma.to_int()), out=masked)
+    odd = np.bitwise_count(masked) & 1
+    del masked
+    # 1 - 2 * parity, then the scale; every step is exact, in one array.
+    amps = odd.astype(np.float64)
+    amps *= -2.0
+    amps += 1.0
+    amps *= 2.0 ** (-n / 2.0)
+    return StateVector(n, amps)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -307,26 +318,57 @@ def draw(probs: np.ndarray, width: int, seed: int) -> BitString:
     return BitString.from_int(width, outcome)
 
 
-def _check_same_size(a: StateVector, b: StateVector) -> None:
-    if a.qubits != b.qubits:
-        raise DimensionMismatchError(
-            f"qubit count mismatch: {a.qubits} vs {b.qubits}"
-        )
+def state_delta(a: StateVector, *factors: StateVector) -> float:
+    """Largest entrywise |a - F|, F the left Kronecker fold of the factors.
 
-
-def state_delta(a: StateVector, b: StateVector) -> float:
-    """Largest entrywise amplitude difference.
-
-    Streams both states through one tile-sized buffer; each |a - b| is
-    computed exactly as on the whole arrays, so the maximum is the same.
+    F = factors[0] (x) factors[1] (x) ..., the first factor's qubits most
+    significant; with one factor this is the plain comparison.  F is never
+    built whole.  For each ``_TILE`` chunk of a, that chunk of F is built
+    in two tile buffers, each amplitude being ((f0[i0] * f1[i1]) * f2[i2])
+    ..., the product np.kron's fold computes, so every |a - F| and the
+    maximum are the same bits as against the whole fold.  A NaN gives NaN.
     """
-    _check_same_size(a, b)
+    qubits = sum(f.qubits for f in factors)
+    if qubits != a.qubits:
+        raise DimensionMismatchError(
+            f"qubit count mismatch: {a.qubits} vs {qubits}"
+        )
     size = min(_TILE, a.amps.size)
-    diff = np.empty(size)
+    bufs = (np.empty(size), np.empty(size))
     peaks = np.empty(a.amps.size // size)
     for j in range(peaks.size):
-        chunk = slice(j * size, (j + 1) * size)
-        np.subtract(a.amps[chunk], b.amps[chunk], out=diff)
+        start = j * size
+        # cur is this chunk's part of the fold so far: None before the first
+        # factor, a scalar while each factor index is constant on the chunk,
+        # then an array that grows to the whole chunk.
+        cur, k, stride = None, 0, a.amps.size
+        for f in factors:
+            amps = f.amps
+            stride //= amps.size  # amplitudes of F per step of this index
+            if stride >= size:
+                v = amps[start // stride % amps.size]
+                cur = v if cur is None else cur * v
+            elif cur is None or np.ndim(cur) == 0:
+                # The first index to vary on the chunk: a slice of the factor.
+                first = start // stride % amps.size
+                part = amps[first : first + size // stride]
+                if cur is not None:
+                    part = np.multiply(part, cur, out=bufs[k][: part.size])
+                    k ^= 1
+                cur = part
+            else:
+                # Whole periods of this factor: loop over the shorter axis.
+                out = bufs[k][: cur.size * amps.size].reshape(cur.size, amps.size)
+                k ^= 1
+                if amps.size <= cur.size:
+                    for i, v in enumerate(amps):
+                        np.multiply(cur, v, out=out[:, i])
+                else:
+                    for r, v in enumerate(cur):
+                        np.multiply(v, amps, out=out[r])
+                cur = out.reshape(-1)
+        diff = bufs[k]
+        np.subtract(a.amps[start : start + size], cur, out=diff)
         np.abs(diff, out=diff)
         peaks[j] = diff.max()
     return float(peaks.max())

@@ -211,6 +211,22 @@ def test_certify_random_mode(capsys, monkeypatch):
     assert doc["functions_per_kind"] == 5
 
 
+def test_certify_random_documents_name_their_seed(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CERTIFY_RANDOM_COUNT", 5)
+    docs = [run_json(capsys, "certify", "--n", "4", "--seed", s)[1] for s in "03"]
+    assert [doc["seed"] for doc in docs] == [0, 3]
+    assert list(docs[1])[:3] == ["n", "mode", "seed"]
+    status, text = run_cli(
+        capsys, "certify", "--n", "4", "--seed", "3", "--format", "text"
+    )
+    assert status == 0
+    assert text.startswith("oracle certification  n=4  mode=random  seed=3  ")
+    # Exhaustive mode draws nothing, so it names no seed.
+    assert "seed" not in run_json(capsys, "certify", "--n", "2", "--seed", "3")[1]
+    text = run_cli(capsys, "certify", "--n", "2", "--format", "text")[1]
+    assert "seed" not in text
+
+
 def test_certify_capacity_and_usage(capsys):
     assert run_cli(capsys, "certify", "--n", "5")[0] == 2
     assert run_cli(capsys, "certify", "--n", "0")[0] == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import refsim
+from bvlab import oracles
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.errors import CapacityError, DimensionMismatchError
 from bvlab.oracles import (
@@ -97,6 +98,33 @@ def test_kernel_on_a_batch_matches_single_states_and_the_reference(case):
     matrix = refsim.ORACLE_MATRIX[kind.value](f.table)
     for before, after in zip(states, batch):
         assert np.max(np.abs(after - matrix @ before)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st_.integers(1, 6),
+    st_.sampled_from([1, 4, 64, oracles._TILE]),
+    st_.integers(1, 3),
+    st_.integers(0, 2**32 - 1),
+)
+def test_two_register_kernel_is_the_exact_swap_in_row_blocks(n, tile, k, seed):
+    # Blocks of whole states or of x rows, for any tile, give the bits of
+    # the whole permutation.
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 2, size=1 << n).astype(np.uint8)
+    m = 2 * n + 1
+    states = rng.normal(size=(k, 1 << m))
+    states[rng.integers(0, 8, size=states.shape) == 0] = -0.0
+    v = np.arange(1 << m)
+    x, y = v >> (n + 1), (v >> 1) & ((1 << n) - 1)
+    expected = states[:, v ^ (table[x] ^ table[y])]
+    batch, single = states.copy(), states[0].copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_TILE", tile)
+        oracles._two_register_kernel(batch, n, table)
+        oracles._two_register_kernel(single, n, table)
+    assert batch.tobytes() == expected.tobytes()
+    assert single.tobytes() == expected[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", list(OracleKind))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -356,6 +357,82 @@ def test_state_delta_propagates_nan():
     b.amps[5] = np.nan
     assert math.isnan(state_delta(a, b))
     assert not state_close(a, b)
+
+
+def kron_fold(factors):
+    whole = factors[0].amps
+    for factor in factors[1:]:
+        whole = np.kron(whole, factor.amps)
+    return whole
+
+
+@st_.composite
+def fold_cases(draw):
+    """Factor widths, a tile size and a seed for a lazy-fold comparison."""
+    widths = draw(st_.lists(st_.integers(1, 6), min_size=1, max_size=5))
+    while sum(widths) > 10 and len(widths) > 1:
+        widths.pop()
+    tile = draw(st_.sampled_from([1, 2, 4, 16, 256, statevector._TILE]))
+    return widths, tile, draw(st_.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fold_cases())
+@example(([1], statevector._TILE, 0))  # a 1-qubit state, one factor
+@example(([1, 1, 1], 2, 1))  # two factors constant on each chunk
+@example(([16, 1], statevector._TILE, 2))  # a factor longer than a tile
+@example(([2, 3], 4, 3))  # a chunk shorter than the last factor
+@example(([6, 1, 2], 4, 4))  # a sliced factor, then short ones
+def test_state_delta_equals_the_whole_kron_fold(case):
+    widths, tile, seed = case
+    factors = [random_state(w, seed + i) for i, w in enumerate(widths)]
+    fold = kron_fold(factors)
+    a = StateVector(sum(widths), fold.copy())
+    # Dust on about half the amplitudes, so deviations are last-bit sized.
+    rng = np.random.default_rng(seed)
+    dust = rng.integers(0, 2, size=fold.size) * rng.normal(size=fold.size)
+    a.amps += dust * 1e-16
+    a.amps[rng.integers(0, 8, size=fold.size) == 0] = -0.0
+    expected = float(np.max(np.abs(a.amps - fold)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "_TILE", tile)
+        assert state_delta(a, *factors) == expected
+        assert state_delta(a, StateVector(a.qubits, fold)) == expected
+        a.amps[seed % fold.size] = np.nan
+        assert math.isnan(state_delta(a, *factors))
+        assert not state_close(a, StateVector(a.qubits, fold))
+
+
+def test_state_delta_refuses_a_width_mismatch_before_any_work(monkeypatch):
+    # A zero tile would fail at the first chunk, so only the width check
+    # can raise DimensionMismatchError.
+    monkeypatch.setattr(statevector, "_TILE", 0)
+    a = random_state(3, seed=1)
+    one = random_state(1, seed=2)
+    for factors in ((), (one,), (one, one), (one, one, one, one)):
+        with pytest.raises(DimensionMismatchError):
+            state_delta(a, *factors)
+
+
+def test_state_delta_allocates_a_few_tiles_not_the_fold():
+    m = 20
+    a = random_state(m, seed=5)
+    r = 2.0**-0.5
+    # _spread's shape for a single data register: uniform, |+>, |->.
+    factors = [
+        StateVector(m - 2, np.full(1 << (m - 2), 2.0 ** (-(m - 2) / 2.0))),
+        StateVector(1, np.array([r, r])),
+        StateVector(1, np.array([r, -r])),
+    ]
+    tile = statevector._TILE
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state_delta(a, *factors)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * tile * 8 + ((1 << m) // tile) * 8, peak
 
 
 def test_matrix_checks():
