@@ -31,7 +31,13 @@ few columns.
 ``state_delta`` streams the same way: it compares a state with a lazy
 left Kronecker fold of factor states, building each ``_TILE`` chunk of
 the fold in a tile buffer with the products np.kron would compute, so the
-result is exact and no full-size reference is ever allocated.
+result is exact and no full-size reference is ever allocated.  So does
+``marginal``: it squares each chunk into one tile buffer and adds it into
+the 2**k outcome table, with no full-size square and no transposed copy.
+A top register (qubits 0..k-1) whose rows of 2**(m-k) amplitudes fit in
+a tile keeps the bits of a whole-array row sum, which covers the read-out
+of every pipeline's first register up to pi at n = 14; other registers,
+such as pi's middle one, are within 1e-14 with bits fixed by ``_TILE``.
 
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
@@ -273,14 +279,63 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
 
     Returns a table of 2**k probabilities where outcome w collects the
     squared magnitudes of every amplitude agreeing with w on those qubits.
-    Output bit order follows the order of ``qubits``.
+    Output bit order follows the order of ``qubits``.  The qubits must
+    form one register [lo, lo + k), in any order; a gap raises ValueError.
+
+    The amplitudes are a (2**lo, 2**k, 2**r) grid, r the qubits below the
+    register; a row is the 2**r amplitudes of one (leading index, outcome)
+    pair.  Each ``_TILE`` chunk is squared into one tile buffer.  Whole
+    leading blocks inside a chunk are added pairwise onto the first, then
+    each row is added onto its outcome: in sequence when it has fewer than
+    8 entries, else by np.add.reduce along the row (numpy's pairwise
+    order) with the running total carried into its first entry.  So a top
+    register (lo = 0) whose row fits in a tile has the bits of
+    np.add.reduce over the rows of the whole array of squares; any other
+    register is within 1e-14 of the exact sums, with bits fixed by
+    ``_TILE``.  A NaN amplitude makes its outcome NaN.
     """
     sel = _select_axes(state, qubits)
-    m = state.qubits
-    probs = state.amps**2
-    rest = [q for q in range(m) if q not in sel]
-    table = probs.reshape([2] * m).transpose(sel + rest).reshape(1 << len(sel), -1)
-    return table.sum(axis=1)
+    lo, k = min(sel), len(sel)
+    if max(sel) - lo != k - 1:
+        raise ValueError(f"qubits {sel} do not form one contiguous register")
+    amps = state.amps
+    outcomes = 1 << k
+    width = amps.size >> (lo + k)
+    size = min(_TILE, amps.size)
+    # A chunk is (blocks, rows, cols): whole leading blocks of every
+    # outcome, a run of rows of one block, or part of one row.
+    cols = min(width, size)
+    rows = min(outcomes, size // cols)
+    blocks = size // (rows * cols)
+    tile = np.empty(size)
+    table = np.zeros(outcomes)
+    for start in range(0, amps.size, size):
+        chunk = amps[start : start + size]
+        squares = np.multiply(chunk, chunk, out=tile).reshape(blocks, -1)
+        half = blocks
+        while half > 1:
+            half //= 2
+            squares[:half] += squares[half : 2 * half]
+        grid = squares[0].reshape(rows, cols)
+        first = start // width % outcomes
+        total = table[first : first + rows]
+        # numpy sums fewer than 8 entries in sequence, so the column loop
+        # keeps its bits without its per-row overhead.  On a top register
+        # the carried total is +0.0, which leaves every sum's bits alone.
+        if cols < 8:
+            for c in range(cols):
+                total += grid[:, c]
+        else:
+            grid[:, 0] += total
+            np.add.reduce(grid, axis=1, out=total)
+    if sel != sorted(sel):
+        # Output bit j, most significant first, is qubit sel[j].
+        v = np.arange(outcomes)
+        src = np.zeros_like(v)
+        for j, q in enumerate(sel):
+            src |= (v >> (k - 1 - j) & 1) << (lo + k - 1 - q)
+        table = table[src]
+    return table
 
 
 def measure_certain(
@@ -298,7 +353,8 @@ def measure_certain(
 def certain_outcome(probs: np.ndarray, width: int, tol: float = 1e-9) -> BitString:
     """measure_certain on an outcome table already computed by marginal."""
     winner = int(np.argmax(probs))
-    if probs[winner] < 1.0 - tol:
+    # Written so that a NaN mass (argmax picks it first) is not certain.
+    if not probs[winner] >= 1.0 - tol:
         raise NotDeterministicError(
             f"largest outcome mass {probs[winner]:.12f} < 1 - {tol:g}"
         )

@@ -21,6 +21,7 @@ from bvlab.statevector import (
     StateVector,
     apply_hadamard_layer,
     basis_state,
+    certain_outcome,
     check_hermitian,
     check_permutation,
     check_signed_diagonal,
@@ -297,6 +298,84 @@ def test_marginal_validation():
         marginal(st, [2])
 
 
+def test_marginal_refuses_a_gapped_selection():
+    st = random_state(4, seed=1)
+    for sel in ([0, 2], [2, 0], [0, 1, 3], [3, 0]):
+        with pytest.raises(ValueError, match="contiguous"):
+            marginal(st, sel)
+
+
+def exact_marginal(amps, sel, m):
+    """Outcome of each index by bit arithmetic; each outcome summed by fsum."""
+    v = np.arange(amps.size)
+    outcome = np.zeros_like(v)
+    for q in sel:
+        outcome = outcome << 1 | (v >> (m - 1 - q) & 1)
+    squares = amps * amps
+    return np.array(
+        [math.fsum(squares[outcome == w]) for w in range(1 << len(sel))]
+    )
+
+
+@st_.composite
+def marginal_cases(draw):
+    """State width, register [lo, lo + k), a power-of-two tile and a seed."""
+    m = draw(st_.integers(1, 12))
+    lo = draw(st_.integers(0, m - 1))
+    k = draw(st_.integers(1, m - lo))
+    tile = 1 << draw(st_.integers(0, 15))
+    return m, lo, k, tile, draw(st_.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(marginal_cases())
+@example((12, 0, 10, statevector._TILE, 0))  # top register, rows of 4
+@example((12, 0, 6, statevector._TILE, 5))  # top register, rows of 64
+@example((12, 0, 4, 64, 1))  # top register, rows longer than a tile
+@example((12, 5, 6, 1024, 2))  # middle register, whole blocks per tile
+@example((12, 5, 6, 16, 3))  # middle register, part of a block per tile
+@example((12, 11, 1, 1, 4))  # bottom qubit, one amplitude per tile
+def test_marginal_matches_index_arithmetic(case):
+    m, lo, k, tile, seed = case
+    st = signed_zero_state(m, seed)
+    sel = list(range(lo, lo + k))
+    exact = exact_marginal(st.amps, sel, m)
+    order = [int(q) for q in np.random.default_rng(seed).permutation(sel)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "_TILE", tile)
+        table = marginal(st, sel)
+        shuffled = marginal(st, order)
+        assert float(np.max(np.abs(table - exact))) <= 1e-14
+        if lo == 0 and st.amps.size >> k <= tile:
+            whole = np.add.reduce((st.amps**2).reshape(1 << k, -1), axis=1)
+            assert np.array_equal(table, whole)
+        # Another bit order permutes the same numbers.
+        assert np.array_equal(np.sort(shuffled), np.sort(table))
+        exact = exact_marginal(st.amps, order, m)
+        assert float(np.max(np.abs(shuffled - exact))) <= 1e-14
+        nan_at = seed % st.amps.size
+        st.amps[nan_at] = np.nan
+        hit = nan_at >> (m - lo - k) & ((1 << k) - 1)
+        assert np.array_equal(np.isnan(marginal(st, sel)), np.arange(1 << k) == hit)
+
+
+@pytest.mark.parametrize(
+    "lo, k",
+    [(0, 18), (0, 10), (5, 10), (9, 10), (12, 8)],
+    ids=["top-rows-of-4", "top-rows-of-1024", "middle", "pi-middle", "bottom"],
+)
+def test_marginal_allocates_the_output_and_one_tile(lo, k):
+    st = random_state(20, seed=5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = marginal(st, range(lo, lo + k))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + statevector._TILE * 8 + 4096, peak
+
+
 def test_measure_certain():
     st = basis_state(3, BitString.parse("110"))
     assert measure_certain(st, range(3)) == BitString.parse("110")
@@ -312,6 +391,15 @@ def test_measure_certain_tolerance_boundary():
     with pytest.raises(NotDeterministicError):
         measure_certain(st, [0], tol=1e-9)
     assert measure_certain(st, [0], tol=0.01) == BitString.parse("0")
+
+
+def test_certain_outcome_refuses_a_nan_mass():
+    # argmax picks a NaN first, and NaN < 1 - tol is False.
+    for probs in ([0.5, np.nan], [np.nan, 1.0], [np.nan, np.nan]):
+        with pytest.raises(NotDeterministicError):
+            certain_outcome(np.array(probs), 1)
+    with pytest.raises(NotDeterministicError):
+        measure_certain(StateVector(2, [0.0, 0.0, np.nan, 1.0]), [0, 1])
 
 
 def test_sample_is_seed_deterministic():
