@@ -7,26 +7,37 @@ circuit layouts.  Every gate the pipelines apply is real (Hadamard,
 bit-flip permutations, +-1 signs) and every start state is a basis ket, so
 amplitudes, matrices and read-outs are real numbers throughout.
 
-A Hadamard layer views the array as a (2**a, 2**(m-a)) grid with
-a = m // 2 and streams it through buffers of at most ``_TILE`` amplitudes,
-so each pass runs in cache.  Qubits q < a are row bits: a slab of whole
-columns is copied out, transformed and copied back.  Qubits q >= a are
-column bits: a slab of whole rows is copied out transposed, so they become
-row bits with long contiguous inner loops.  Inside a buffer, the listed
-row bits are grouped into runs of up to ``_RUN`` consecutive bits, and a
-run of g bits starting at bit k is one matrix product of the 2**g x 2**g
-matrix H(x)g with the middle axis of a (2**k, 2**g, rest) reshape (the
-fast Walsh-Hadamard transform in radix 2**g, as in Fino & Algazi 1976).
-The product cannot write over its input, so runs alternate between the
-tile and a spare buffer of the same size.
+A Hadamard layer runs in two phases over a split of the index bits.  With
+tb = log2(``_TILE``), at least ``_RUN``, the a = max(0, m - tb) most
+significant bits are top bits and the other b = m - a are bottom bits, so
+each aligned block of 2**b amplitudes is one contiguous tile in cache.
 
-Accuracy invariant: the fused blocks sum up to 2**g products per
-amplitude where a per-qubit sweep does g rounded butterflies, so results
-are no longer the sweep's bits; every amplitude stays within 1e-14 of
-that sweep.  The bits are deterministic for a given ``_TILE``: the same
-on every run and under any BLAS or caller thread count.  They may change
-with ``_TILE``, because BLAS takes another code path on products with very
-few columns.
+Top phase: the listed top bits are grouped into runs of up to ``_RUN``
+consecutive bits.  A run of g bits starting at bit k views the array as
+(2**k, 2**g, rest), and each (2**g, _TILE >> g) column chunk is one matrix
+product with the 2**g x 2**g matrix H(x)g (the fast Walsh-Hadamard
+transform in radix 2**g, as in Fino & Algazi 1976).  BLAS reads the
+strided chunk where it lies and writes a tile buffer, which is copied
+back as 2**g contiguous runs.
+
+Bottom phase: the b bottom bits are cut, top first, into groups of up to
+``_RUN`` bits, listed or not.  In each block, a group of g bits is one
+product src.reshape(2**g, 2**b >> g).T @ M written as a
+(2**b >> g, 2**g) array, where M is the Kronecker product of H on each
+listed bit and I on each unlisted one.  The product transforms the group
+and rotates it below the other bits, so the next group is on top: a
+constant-geometry transform with no transposed copy (Pease 1968).  After
+the last group every bit is back in place.  Products alternate between the
+block and the tile buffer, and an odd group count ends with one copy of
+the tile into the block.  The layer allocates that one tile and nothing
+else of size.
+
+Accuracy invariant: a product sums up to 2**g terms per amplitude where a
+per-qubit sweep does g rounded butterflies, so results are not the
+sweep's bits; every amplitude stays within 1e-14 of that sweep.  The bits
+are fixed for a given ``_TILE``: the same on every run and under any BLAS
+or caller thread count.  ``_TILE`` sets the split and the shape of every
+product, so changing it may change the last bits.
 
 ``state_delta`` streams the same way: it compares a state with a lazy
 left Kronecker fold of factor states, building each ``_TILE`` chunk of
@@ -45,7 +56,9 @@ Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,35 +90,37 @@ __all__ = [
     "DUMP_EPS",
 ]
 
-# Amplitudes per cache tile (256 KiB), chosen by timing Hadamard layers on
-# 16- to 23-qubit states.  Retimed with fused blocks at 17, 20 and 22
-# qubits, 2**14 was slower and 2**16 and 2**17 stayed within run-to-run
-# drift.  It sets the shape of every product, so changing it changes the
-# layer's last bits.  It must be a power of two.
+# Amplitudes per cache tile (256 KiB).  Full two-phase layers at 17, 20
+# and 22 qubits on 2 cores took 0.47-0.70, 6.1-7.8 and 27-33 ms with
+# 2**15, 0.57-0.85, 6.7-9.1 and 33-47 ms with 2**14, and 0.94-1.1,
+# 8.4-11 and 36-50 ms with 2**16 or 2**17.  It sets the split and the
+# shape of every product, so changing it may change the layer's last
+# bits.  It must be a power of two.
 _TILE = 1 << 15
 
-# Most row bits fused into one product.  Full float64 layers at 17/20/22
-# qubits on 2 cores took 0.9/8.5/45 ms with 4, 0.8-1.1/9-13/47-63 ms
-# with 3, and longer with 2, 5 or 6.
+# Most bits in one product.  The same layers took medians of 0.54, 6.3
+# and 29 ms with 4 and 0.51, 5.6 and 31 ms with 3, so neither wins at
+# every size; 5 took 1.0, 8.4-11 and 44-49 ms.
 _RUN = 4
 
 
-def _h_block(g: int) -> np.ndarray:
-    """H(x)g as a read-only float64 matrix, the g-fold Kronecker power of H.
+@functools.cache
+def _block(pattern: tuple[bool, ...]) -> np.ndarray:
+    """Kronecker product of H (True) or I (False), one factor per bit, top first.
 
-    Entries are products of the sweep's rounded c = 1/sqrt2, not the
-    correctly rounded 2**(-g/2), so the layer keeps the rounding of the
-    per-qubit sweep it is held to.
+    A float64 matrix, read-only because every caller shares it; at most
+    2**(_RUN + 1) - 2 patterns occur.  Its H entries are products of the
+    sweep's rounded c = 1/sqrt2, not the correctly rounded powers of
+    2**-0.5, so the layer keeps the rounding of the per-qubit sweep it is
+    held to.
     """
     c = 1.0 / math.sqrt(2.0)
     block = np.ones((1, 1))
-    for _ in range(g):
-        block = np.kron(block, [[c, c], [c, -c]])
+    for listed in pattern:
+        block = np.kron(block, [[c, c], [c, -c]] if listed else np.eye(2))
     block.flags.writeable = False
     return block
 
-
-_H_BLOCKS = {g: _h_block(g) for g in range(1, _RUN + 1)}
 
 # Amplitudes smaller than this are treated as numerical dust in dumps.
 DUMP_EPS = 1e-12
@@ -164,9 +179,19 @@ def basis_state(qubits: int, label: BitString) -> StateVector:
     return StateVector(qubits, amps)
 
 
-def _check_qubit(state: StateVector, qubit: int) -> None:
-    if not 0 <= qubit < state.qubits:
-        raise IndexError(f"qubit {qubit} out of range for {state.qubits}-qubit state")
+def _check_qubits(state: StateVector, qubits: Sequence[int]) -> list[int]:
+    """The qubits as ints, in the given order.
+
+    TypeError unless each is an integer, IndexError unless each is in
+    range, ValueError if one repeats.
+    """
+    sel = [operator.index(q) for q in qubits]
+    for q in sel:
+        if not 0 <= q < state.qubits:
+            raise IndexError(f"qubit {q} out of range for {state.qubits}-qubit state")
+    if len(set(sel)) != len(sel):
+        raise ValueError(f"duplicate qubits: {sel}")
+    return sel
 
 
 def _runs(bits: Sequence[int]) -> list[tuple[int, int]]:
@@ -181,60 +206,45 @@ def _runs(bits: Sequence[int]) -> list[tuple[int, int]]:
     return runs
 
 
-def _fused_blocks(
-    buf: np.ndarray, runs: Sequence[tuple[int, int]], other: np.ndarray
-) -> np.ndarray:
-    """H on each run's row bits of a contiguous buffer; returns the result.
-
-    Run (k, g) multiplies H(x)g into the middle axis of a
-    (2**k, 2**g, rest) reshape.  Each product reads one of ``buf`` and
-    ``other`` (same shape) and writes the other, so the result ends in
-    whichever the last run wrote.
-    """
-    src, dst = buf, other
-    for k, g in runs:
-        np.matmul(
-            _H_BLOCKS[g],
-            src.reshape(1 << k, 1 << g, -1),
-            out=dst.reshape(1 << k, 1 << g, -1),
-        )
-        src, dst = dst, src
-    return src
-
-
 def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVector:
     """Hadamard on each listed qubit, in ascending qubit order; in place.
 
-    Every qubit is range-checked before any amplitude changes.  Runs of
-    consecutive qubits are fused into one product each; see the module
-    docstring for the tiling and for how close the result stays to a
-    qubit-by-qubit sweep.
+    Every qubit is checked (an integer, in range, not repeated) before any
+    amplitude changes.  See the module docstring for the two phases and
+    for how close the result stays to a qubit-by-qubit sweep.
     """
-    order = sorted(qubits)
-    for q in order:
-        _check_qubit(state, q)
-    m = state.qubits
-    a = m // 2
-    grid = state.amps.reshape(1 << a, 1 << (m - a))
-    tile = np.empty(min(grid.size, max(_TILE, grid.shape[1])))
-    spare = np.empty_like(tile)
-    # Row bits stream column slabs of the grid.  Column bits stream column
-    # slabs of its transpose, which are row slabs copied out transposed.
-    phases = (
-        (grid, [q for q in order if q < a]),
-        (grid.T, [q - a for q in order if q >= a]),
-    )
-    for view, bits in phases:
-        if not bits:
-            continue
-        runs = _runs(bits)
-        width = max(1, _TILE // view.shape[0])
-        for c in range(0, view.shape[1], width):
-            slab = view[:, c : c + width]
-            buf = tile[: slab.size].reshape(slab.shape)
-            np.copyto(buf, slab)
-            other = spare[: slab.size].reshape(slab.shape)
-            np.copyto(slab, _fused_blocks(buf, runs, other))
+    order = sorted(_check_qubits(state, qubits))
+    m, amps = state.qubits, state.amps
+    # A tile of at least 2**_RUN amplitudes gives every top chunk a column.
+    a = max(0, m - max(_TILE.bit_length() - 1, _RUN))
+    size = 1 << (m - a)
+    tile = np.empty(size)
+    for k, g in _runs([q for q in order if q < a]):
+        view = amps.reshape(1 << k, 1 << g, -1)
+        out = tile.reshape(1 << g, -1)
+        block, w = _block((True,) * g), out.shape[1]
+        for i in range(1 << k):
+            for s in range(0, view.shape[2], w):
+                chunk = view[i, :, s : s + w]
+                np.matmul(block, chunk, out=out)
+                np.copyto(chunk, out)
+    if not order or order[-1] < a:
+        return state
+    listed = set(order)
+    blocks = [
+        _block(tuple(q in listed for q in range(lo, min(lo + _RUN, m))))
+        for lo in range(a, m, _RUN)
+    ]
+    for start in range(0, amps.size, size):
+        home = amps[start : start + size]
+        src = home
+        for block in blocks:
+            dst = tile if src is home else home
+            n = block.shape[0]
+            np.matmul(src.reshape(n, -1).T, block, out=dst.reshape(-1, n))
+            src = dst
+        if src is tile:
+            np.copyto(home, tile)
     return state
 
 
@@ -263,17 +273,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.qubits + b.qubits, np.kron(a.amps, b.amps))
 
 
-def _select_axes(state: StateVector, qubits: Sequence[int]) -> list[int]:
-    sel = list(qubits)
-    if not sel:
-        raise ValueError("at least one qubit must be selected")
-    if len(set(sel)) != len(sel):
-        raise ValueError(f"duplicate qubits in selection: {sel}")
-    for q in sel:
-        _check_qubit(state, q)
-    return sel
-
-
 def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     """Outcome probabilities for measuring the listed qubits.
 
@@ -294,7 +293,9 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     register is within 1e-14 of the exact sums, with bits fixed by
     ``_TILE``.  A NaN amplitude makes its outcome NaN.
     """
-    sel = _select_axes(state, qubits)
+    sel = _check_qubits(state, qubits)
+    if not sel:
+        raise ValueError("at least one qubit must be selected")
     lo, k = min(sel), len(sel)
     if max(sel) - lo != k - 1:
         raise ValueError(f"qubits {sel} do not form one contiguous register")

@@ -55,9 +55,10 @@ def signed_zero_state(m, seed):
 
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-# Both phases of the tiled layer span several tiles from 16 qubits on.
+# The layer's top phase starts at 16 qubits; at 18 it has three top bits
+# and eight bottom blocks.
 MAX_M = 18
-# The fused layer sums each amplitude's products in another order than a
+# The layer sums each amplitude's products in another order than a
 # per-qubit sweep, so it is held to this distance instead of the bits.
 LAYER_TOL = 1e-14
 # Widest state checked against refsim's dense layer matrix.
@@ -65,7 +66,7 @@ DENSE_M = 8
 
 
 def sweep_layer(amps, qubits):
-    """The per-qubit butterfly sweep, kept as the fused layer's reference."""
+    """The per-qubit butterfly sweep, kept as the layer's reference."""
     for q in qubits:
         pairs = amps.reshape(1 << q, 2, -1)
         lo = pairs[:, 0, :].copy()
@@ -75,8 +76,8 @@ def sweep_layer(amps, qubits):
 
 
 @st_.composite
-def layer_cases(draw):
-    m = draw(st_.integers(1, MAX_M))
+def layer_cases(draw, max_m=MAX_M):
+    m = draw(st_.integers(1, max_m))
     qubits = sorted(draw(st_.sets(st_.integers(0, m - 1))))
     return m, draw(st_.integers(0, 2**32 - 1)), qubits
 
@@ -174,6 +175,28 @@ def test_layer_is_within_tol_of_the_per_qubit_sweep(case):
         assert np.max(np.abs(st.amps - expected)) <= LAYER_TOL
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    layer_cases(max_m=12),
+    st_.sampled_from([2, 32, 64, statevector._TILE]),
+)
+@example((12, 4, list(range(11))), 2)  # top runs with k > 0, one bottom group
+@example((12, 5, [0, 5, 9, 10]), 64)  # groups of 4 and 2 with identities
+@example((11, 6, list(range(10))), statevector._TILE)  # 3 groups, I last
+def test_layer_phases_are_within_tol_of_the_per_qubit_sweep(case, tile):
+    # A tile below 2**_RUN amplitudes acts as 2**_RUN, so small states
+    # reach the top phase, which the default tile reaches only above 15
+    # qubits.
+    m, seed, qubits = case
+    st = signed_zero_state(m, seed)
+    swept = st.amps.copy()
+    sweep_layer(swept, qubits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "_TILE", tile)
+        apply_hadamard_layer(st, qubits)
+    assert np.max(np.abs(st.amps - swept)) <= LAYER_TOL
+
+
 def test_layer_applies_qubits_in_ascending_order():
     a = signed_zero_state(12, seed=4)
     b = a.copy()
@@ -185,10 +208,37 @@ def test_layer_applies_qubits_in_ascending_order():
 def test_layer_checks_every_qubit_before_touching_amplitudes():
     st = random_state(3, seed=2)
     before = st.amps.copy()
-    for bad in ([0, 3, 1], [1, -1]):
-        with pytest.raises(IndexError):
+    for bad, error in (
+        ([0, 3, 1], IndexError),
+        ([1, -1], IndexError),
+        ([0, 0], ValueError),
+        ([2, 0, 1, 2], ValueError),
+        ([0, 1.5], TypeError),
+        ([np.int64(0), 1.0], TypeError),
+    ):
+        with pytest.raises(error):
             apply_hadamard_layer(st, bad)
         assert same_bits(st.amps, before)
+    # Any integer type is a qubit index.
+    swept = before.copy()
+    sweep_layer(swept, [1, 2])
+    apply_hadamard_layer(st, [np.int64(2), True])
+    assert np.max(np.abs(st.amps - swept)) <= LAYER_TOL
+
+
+def test_layer_allocates_one_tile():
+    st = random_state(20, seed=6)
+    for qubits in (range(20), range(19), [0, 3, 17]):
+        apply_hadamard_layer(st, qubits)  # fills the block cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            apply_hadamard_layer(st, qubits)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Besides the tile: the qubit list and set, block list and views.
+        assert peak <= statevector._TILE * 8 + 8192, (list(qubits), peak)
 
 
 def test_layer_threads_match_serial_runs():
@@ -223,15 +273,17 @@ import numpy as np
 from bvlab.statevector import StateVector, apply_hadamard_layer
 m = 18
 amps = np.random.default_rng(5).normal(size=1 << m) * 2.0 ** (-m / 2)
-for qubits in (range(m), [0, 3, 4, 5, 9, 17]):
+for qubits in (range(m), [0, 3, 4, 5, 9, 17], range(m - 1)):
     st = apply_hadamard_layer(StateVector(m, amps.copy()), qubits)
     print(hashlib.sha256(st.amps.tobytes()).hexdigest())
 """
 
 
 def test_layer_bytes_do_not_depend_on_blas_threads():
-    # All qubits gives full 4-bit runs on wide slabs; the second set gives
-    # runs of 1 to 3 bits, some on narrow slabs.
+    # All qubits gives a 3-bit top run and full bottom groups; the second
+    # set gives a 1-bit top run and bottom groups with identity factors,
+    # one of them all identity; the third is a pipeline's final layer, its
+    # last qubit an identity factor in the last group.
     hashes = []
     for threads in ("1", "2"):
         proc = subprocess.run(
@@ -243,7 +295,7 @@ def test_layer_bytes_do_not_depend_on_blas_threads():
         )
         assert proc.returncode == 0, proc.stderr
         hashes.append(proc.stdout.split())
-    assert len(hashes[0]) == 2
+    assert len(hashes[0]) == 3
     assert hashes[0] == hashes[1]
 
 
@@ -296,6 +348,8 @@ def test_marginal_validation():
         marginal(st, [0, 0])
     with pytest.raises(IndexError):
         marginal(st, [2])
+    with pytest.raises(TypeError):
+        marginal(st, [0.0])
 
 
 def test_marginal_refuses_a_gapped_selection():
