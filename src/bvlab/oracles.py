@@ -6,7 +6,8 @@ O(2**m) instead of the O(4**m) of a matrix product.  Each kernel acts in
 place on the last axis of a float64 ``(..., 2**m)`` array.  The dense
 matrix, only for verifying unitarity, self-adjointness, and permutation or
 signed-diagonal structure on small registers, is one kernel call on the
-rows of the float64 identity, transposed; its entries are 0, 1 or -1.
+rows of the float64 identity, returned as a transposed view; no copy.
+Its entries are 0, 1 or -1.
 
 One table, ``_ORACLES``, holds each kind's kernel, its register width for
 arity n, and the structure its dense matrix must have.  ``apply_oracle``,
@@ -150,7 +151,8 @@ def apply_oracle(kind: OracleKind, state: StateVector, f: BooleanFunction) -> St
 def oracle_dense_matrix(kind: OracleKind, f: BooleanFunction) -> np.ndarray:
     """Exact float64 matrix of the oracle, column v = oracle applied to ket v.
 
-    Only for verification; capped at DENSE_QUBIT_CAP total qubits.
+    Only for verification; capped at DENSE_QUBIT_CAP total qubits.  It is
+    the F-ordered transposed view of the kernel's output rows, not a copy.
     """
     m = kind.qubit_count(f.arity)
     if m > DENSE_QUBIT_CAP:
@@ -159,4 +161,4 @@ def oracle_dense_matrix(kind: OracleKind, f: BooleanFunction) -> np.ndarray:
         )
     rows = np.eye(1 << m)
     _ORACLES[kind][0](rows, f.arity, f.table)
-    return rows.T.copy()
+    return rows.T

@@ -50,6 +50,19 @@ a tile keeps the bits of a whole-array row sum, which covers the read-out
 of every pipeline's first register up to pi at n = 14; other registers,
 such as pi's middle one, are within 1e-14 with bits fixed by ``_TILE``.
 
+The dense-matrix checks stream as well, each in one reused buffer and
+with no full-size temporary.  ``check_unitary`` forms only the upper
+triangle of M^T M, one column panel at a time (GEMM above the diagonal
+block, syrk on it: blocked products in the manner of Goto & van de Geijn
+2008), and stops at the first panel over tol.  ``check_hermitian``
+compares each tile above the diagonal, and each diagonal tile, with its
+mirror.  ``check_permutation`` and ``check_signed_diagonal`` walk row
+blocks of at most ``_TILE`` entries, of M^T when M is F-ordered, since
+both conditions read the same on M and M^T.  Every test has the form
+"not x <= tol", so a NaN fails it.  The verdicts are those of the
+whole-matrix expressions: exactly so for entries of 0 and +-1, and for
+other floats up to the summation order of the products.
+
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
 """
@@ -102,6 +115,18 @@ _TILE = 1 << 15
 # and 29 ms with 4 and 0.51, 5.6 and 31 ms with 3, so neither wins at
 # every size; 5 took 1.0, 8.4-11 and 44-49 ms.
 _RUN = 4
+
+# Columns per Gram panel in check_unitary.  On 2 cores, a 2048 x 2048
+# check took medians of 150-197 ms with 256, 174-231 ms with 192 and
+# 189-265 ms with 128; at 512 x 512, 3.6-3.9 ms with 256 and 4.0-4.6 ms
+# with 128.
+_PANEL = 256
+
+# Side of the square tiles check_hermitian compares.  On 2 cores, medians
+# at 512 x 512 were 0.67-0.80 ms with 128, 1.04-1.05 ms with 64 and
+# 0.87-0.89 ms with 256; at 2048 x 2048, 17.6-18.2, 18.1-19.1 and
+# 30.8-35.5 ms.
+_SIDE = 128
 
 
 @functools.cache
@@ -449,44 +474,128 @@ def state_close_up_to_global_phase(
 
 def _as_square(matrix: np.ndarray) -> np.ndarray:
     m = _real(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     return m
 
 
+def _row_blocks(m: np.ndarray, *dtypes):
+    """Row blocks of at most _TILE entries of m, or of m.T if m is F-ordered.
+
+    Yields (r0, block, *tiles): the block's first row, the block, and one
+    tile of the block's shape per dtype, each a view of a buffer allocated
+    once per walk.  Only for checks whose condition reads the same on M
+    and M^T, so the walk may take whichever of the two holds its rows
+    contiguously.
+    """
+    if m.flags.f_contiguous:
+        m = m.T
+    n = len(m)
+    rows = min(n, max(1, _TILE // n))
+    buffers = [np.empty((rows, n), dtype) for dtype in dtypes]
+    for r0 in range(0, n, rows):
+        block = m[r0 : r0 + rows]
+        yield (r0, block, *(buffer[: len(block)] for buffer in buffers))
+
+
 def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M^T M - I| <= tol."""
+    """max |M^T M - I| <= tol, over the upper triangle of M^T M.
+
+    M^T M is symmetric, so only its upper part is formed, one column panel
+    J of k <= _PANEL columns at a time, as a C-ordered (j0 + k, k) array at
+    the head of one n * _PANEL buffer: M[:, :j0]^T M[:, J] by GEMM and the
+    diagonal block M[:, J]^T M[:, J] by syrk.  That is the flop count of
+    one whole-matrix M^T M, with no identity and no full-size residue.  A
+    NaN anywhere fails, as it fails the whole-matrix maximum.
+    """
     m = _as_square(matrix)
-    residue = m.T @ m - np.eye(m.shape[0])
-    return float(np.max(np.abs(residue))) <= tol
+    n = len(m)
+    gram = np.empty(n * min(_PANEL, n))
+    for j0 in range(0, n, _PANEL):
+        panel = m[:, j0 : j0 + _PANEL]
+        k = panel.shape[1]
+        block = gram[: (j0 + k) * k].reshape(j0 + k, k)
+        if j0:
+            np.matmul(m[:, :j0].T, panel, out=block[:j0])
+        np.matmul(panel.T, panel, out=block[j0:])
+        # block[j0 + t, t] is the flat entry j0 * k + t * (k + 1).
+        diagonal = gram[j0 * k : (j0 + k) * k : k + 1]
+        np.subtract(diagonal, 1.0, out=diagonal)
+        np.abs(block, out=block)
+        if not block.max() <= tol:
+            return False
+    return True
 
 
 def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M - M^T| <= tol."""
+    """max |M - M^T| <= tol, comparing tile (i, j) with tile (j, i) for i <= j.
+
+    Diagonal tiles are compared too, so an infinite diagonal entry fails
+    (inf - inf is NaN).  Both tiles are copied into one buffer of two
+    _SIDE x _SIDE tiles first, so every ufunc works on contiguous memory:
+    given a strided 2-D operand, numpy's ufunc loop allocates a buffer of
+    its own.
+    """
     m = _as_square(matrix)
-    return float(np.max(np.abs(m - m.T))) <= tol
+    n = len(m)
+    w = min(_SIDE, n)
+    pair = np.empty((2, w * w))
+    for i in range(0, n, w):
+        for j in range(i, n, w):
+            upper = m[i : i + w, j : j + w]
+            a, b = (half[: upper.size].reshape(upper.shape) for half in pair)
+            np.copyto(a, upper)
+            np.copyto(b, m[j : j + w, i : i + w].T)
+            np.subtract(a, b, out=a)
+            np.abs(a, out=a)
+            if not a.max() <= tol:
+                return False
+    return True
 
 
 def check_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """Every entry within tol of 0 or 1, exactly one near-1 per row and column."""
+    """Every entry within tol of 0 or 1, exactly one near-1 per row and column.
+
+    Streams row blocks through one float and one bool tile.  Once every
+    row has exactly one near-1, every column has exactly one iff the rows'
+    near-1 columns are all distinct, which one bool per column records.
+    """
     m = _as_square(matrix)
-    near_one = np.abs(m - 1.0) <= tol
-    near_zero = np.abs(m) <= tol
-    if not np.all(near_one | near_zero):
-        return False
-    ones_per_row = near_one.sum(axis=1)
-    ones_per_col = near_one.sum(axis=0)
-    return bool(np.all(ones_per_row == 1) and np.all(ones_per_col == 1))
+    taken = np.zeros(len(m), dtype=bool)
+    for _, block, d, one in _row_blocks(m, np.float64, bool):
+        np.subtract(block, 1.0, out=d)
+        np.abs(d, out=d)
+        np.less_equal(d, tol, out=one)
+        # Exactly one per row: at least one in each, and no more in all.
+        if np.count_nonzero(one) != len(block) or not one.any(axis=1).all():
+            return False
+        taken[np.argmax(one, axis=1)] = True
+        # Every entry that is not near 1 must be near 0.
+        np.abs(block, out=d)
+        np.copyto(d, 0.0, where=one)
+        if not d.max() <= tol:
+            return False
+    return bool(taken.all())
 
 
 def check_signed_diagonal(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """Diagonal matrix with every diagonal entry within tol of +1 or -1."""
+    """Diagonal matrix with every diagonal entry within tol of +1 or -1.
+
+    Streams row blocks through one float tile holding |M|, with each
+    diagonal entry d replaced by ||d| - 1| (= min(|d - 1|, |d + 1|)), so a
+    single maximum per tile tests both conditions; a NaN anywhere fails.
+    """
     m = _as_square(matrix)
-    off = m - np.diag(np.diag(m))
-    if float(np.max(np.abs(off))) > tol:
-        return False
-    d = np.diag(m)
-    return bool(np.all(np.minimum(np.abs(d - 1.0), np.abs(d + 1.0)) <= tol))
+    n = len(m)
+    for r0, block, a in _row_blocks(m, np.float64):
+        np.abs(block, out=a)
+        # a[t, r0 + t] is a's flat entry r0 + t * (n + 1).
+        diagonal = a.reshape(-1)[r0 :: n + 1]
+        np.subtract(diagonal, 1.0, out=diagonal)
+        np.abs(diagonal, out=diagonal)
+        if not a.max() <= tol:
+            return False
+    return True
 
 
 def split_singular_values(state: StateVector, left_qubits: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Oracle kernels vs independently built permutation/diagonal matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import refsim
-from bvlab import oracles
+from bvlab import oracles, statevector
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.errors import CapacityError, DimensionMismatchError
 from bvlab.oracles import (
@@ -182,6 +184,22 @@ def test_dense_matrix_capacity():
     with pytest.raises(CapacityError):
         oracle_dense_matrix(OracleKind.TWO_REGISTER, f)
     assert oracle_dense_matrix(OracleKind.STANDARD_BV, f).shape == (128, 128)
+
+
+def test_dense_matrix_allocates_only_the_matrix():
+    # The kernel's rows come back transposed as a view, not a copy.  Besides
+    # the matrix, the two-register swap holds one tile, and numpy copies the
+    # source of its masked swap (it overlaps the target), one more tile.
+    f = BooleanFunction(np.random.default_rng(3).integers(0, 2, 16, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        matrix = oracle_dense_matrix(OracleKind.TWO_REGISTER, f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (512, 512)
+    assert peak <= matrix.nbytes + 2 * statevector._TILE * 8 + 8192, peak
 
 
 def test_flip_oracle_on_half_superposition_collects_parity_signs():

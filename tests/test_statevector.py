@@ -602,6 +602,137 @@ def test_matrix_checks():
     assert check_hermitian(np.eye(2, dtype=bool))
     assert check_permutation(np.eye(4, dtype=np.int64)[[1, 0, 3, 2]])
     assert not check_unitary(np.array([[1, 1], [0, 1]]))
+    # NaN off the diagonal fails (NaN > tol is False, so a "> tol" test
+    # let it through).
+    assert not check_signed_diagonal(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "check", [check_unitary, check_hermitian, check_permutation, check_signed_diagonal]
+)
+def test_matrix_checks_refuse_an_empty_matrix(check):
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        check(np.zeros((0, 0)))
+
+
+MATRIX_CHECKS = {
+    "unitary": check_unitary,
+    "hermitian": check_hermitian,
+    "permutation": check_permutation,
+    "signed-diagonal": check_signed_diagonal,
+}
+
+
+def whole_matrix_verdicts(m, tol):
+    """Each check as one whole-matrix expression: the reference verdicts."""
+    near_one = np.abs(m - 1.0) <= tol
+    near_zero = np.abs(m) <= tol
+    d = np.diag(m)
+    return {
+        "unitary": bool(np.max(np.abs(m.T @ m - np.eye(len(m)))) <= tol),
+        "hermitian": bool(np.max(np.abs(m - m.T)) <= tol),
+        "permutation": bool(
+            np.all(near_one | near_zero)
+            and np.all(near_one.sum(axis=1) == 1)
+            and np.all(near_one.sum(axis=0) == 1)
+        ),
+        "signed-diagonal": bool(
+            np.max(np.abs(m - np.diag(d))) <= tol
+            and np.all(np.minimum(np.abs(d - 1.0), np.abs(d + 1.0)) <= tol)
+        ),
+    }
+
+
+@st_.composite
+def matrix_check_cases(draw):
+    """A matrix, its tol, and the _PANEL, _SIDE and _TILE to check it with.
+
+    The matrix is a signed permutation, involution or diagonal, or a dense
+    draw, with up to four entries set to drawn values, in C or F order or
+    as a strided view.  Entries come from {0, +-1, 1 +- tol/2, 1 +- 2 tol,
+    nan, +-inf}.
+    """
+    n = draw(st_.integers(1, 70))
+    tol = draw(st_.sampled_from([0.0, 1e-12, 1e-9]))
+    values = [0.0, 1.0, -1.0, 1 + tol / 2, 1 - tol / 2, 1 + 2 * tol, 1 - 2 * tol,
+              np.nan, np.inf, -np.inf]
+    rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
+    base = draw(st_.sampled_from(["permutation", "involution", "diagonal", "dense"]))
+    if base == "dense":
+        m = rng.choice(values[:7], size=(n, n))
+    else:
+        perm = np.arange(n)
+        if base == "permutation":
+            perm = rng.permutation(n)
+        elif base == "involution":
+            pairs = rng.permutation(n)[: n // 2 * 2].reshape(-1, 2)
+            perm[pairs[:, 0]], perm[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        signs = rng.choice([1.0, -1.0], n) if draw(st_.booleans()) else np.ones(n)
+        # D P D keeps an involution symmetric and self-inverse.
+        m = signs[:, None] * np.eye(n)[perm] * signs[None, :]
+    for i, on_support, j, v in draw(st_.lists(
+        st_.tuples(st_.integers(0, n - 1), st_.booleans(), st_.integers(0, n - 1),
+                   st_.sampled_from(values)),
+        max_size=4,
+    )):
+        if on_support:  # replace the row's largest entry, keeping its sign
+            j = int(np.argmax(np.abs(m[i])))
+            v *= np.sign(m[i, j]) or 1.0
+        m[i, j] = v
+    layout = draw(st_.sampled_from(["C", "F", "strided", "window"]))
+    if layout == "F":
+        m = np.asfortranarray(m)
+    elif layout in ("strided", "window"):
+        big = np.full((3 * n, 3 * n), 7.0)
+        if layout == "strided":
+            view = big[1::3, ::2][:, :n]  # no unit stride on either axis
+        else:
+            view = big[1 : n + 1, 2 : n + 2]  # rows strided, entries adjacent
+        view[...] = m
+        m = view
+    widths = st_.sampled_from([1, 3, 8])
+    return m, tol, draw(widths), draw(widths), draw(widths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_check_cases())
+@example((np.array([[1.0, np.nan], [0.0, 1.0]]), 1e-12, 1, 1, 1))
+@example((np.diag([1.0, np.inf, -1.0]), 0.0, 1, 1, 1))  # inf - inf on the diagonal
+def test_streamed_checks_match_whole_matrix_expressions(case):
+    m, tol, panel, side, tile = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = whole_matrix_verdicts(m, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statevector, "_PANEL", panel)
+            mp.setattr(statevector, "_SIDE", side)
+            mp.setattr(statevector, "_TILE", tile)
+            got = {name: check(m, tol) for name, check in MATRIX_CHECKS.items()}
+    assert got == expected
+
+
+def test_matrix_checks_allocate_one_buffer():
+    n = 1024
+    swapped = np.arange(n) ^ (np.arange(n) < n // 2)  # pairs swapped, rest fixed
+    involution = np.eye(n)[swapped]
+    signed = np.diag(np.where(np.arange(n) % 3, 1.0, -1.0))
+    rows = statevector._TILE // n
+    buffers = {
+        "unitary": n * min(statevector._PANEL, n) * 8,
+        "hermitian": 2 * min(statevector._SIDE, n) ** 2 * 8,  # a pair of tiles
+        "permutation": rows * n * 9 + n,  # a float tile, a bool tile, n bools
+        "signed-diagonal": rows * n * 8,
+    }
+    for name, check in MATRIX_CHECKS.items():
+        matrix = signed if name == "signed-diagonal" else involution
+        for layout in (matrix, matrix.T):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert check(layout)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= buffers[name] + 8192, (name, peak)
 
 
 def test_split_singular_values():
