@@ -9,6 +9,16 @@ signed-diagonal structure on small registers, is one kernel call on the
 rows of the float64 identity, returned as a transposed view; no copy.
 Its entries are 0, 1 or -1.
 
+No kernel gathers the amplitudes it moves.  Each walks the array in
+blocks of at most ``_TILE`` x values or amplitudes, of whole states when a
+state is smaller, and allocates at most two tiles whatever the state's
+size.  The flip kernels swap each target pair by exact bit arithmetic on
+the uint64 view of the amplitudes (an xor swap under an all-ones or zero
+mask per x), so bits move unchanged, NaNs and signed zeros included.  The
+phase kernel multiplies the flag-0 half by the +-1 sign of each x, an
+exact product.  The two-register kernel swaps the pair halves under a
+mask through a held tile.
+
 One table, ``_ORACLES``, holds each kind's kernel, its register width for
 arity n, and the structure its dense matrix must have.  ``apply_oracle``,
 the one way to apply an oracle, checks the layout against that width and
@@ -63,25 +73,67 @@ class OracleKind(Enum):
         return _ORACLES[self][2]
 
 
+def _swap_targets(
+    amps: np.ndarray, n: int, table: np.ndarray, flips: tuple[int | None, ...]
+) -> None:
+    # The amplitudes are (states, x, control slice, target pair); flips[b]
+    # is the f(x) on which control slice b swaps its pair, or None.  On the
+    # uint64 view a swap is exact bit arithmetic with no gather:
+    # d = (lo ^ hi) & mask, lo ^= d, hi ^= d, the mask all ones where the
+    # pair swaps and zero elsewhere.  Blocks of whole states, or of x rows
+    # of one state, keep the mask and d at one tile each; the mask
+    # broadcasts over the states.
+    words = amps.view(np.uint64).reshape(-1, 1 << n, len(flips), 2)
+    states = max(1, _TILE >> n)
+    rows = min(_TILE, 1 << n)
+    masks = np.empty(rows, dtype=np.uint64)
+    diffs = np.empty((min(states, len(words)), rows), dtype=np.uint64)
+    for s in range(0, len(words), states):
+        for x in range(0, 1 << n, rows):
+            block = words[s : s + states, x : x + rows]
+            mask, d = masks[: block.shape[1]], diffs[: len(block), : block.shape[1]]
+            np.copyto(mask, table[x : x + rows])
+            np.negative(mask, out=mask)
+            polarity = 1
+            for b, flip in enumerate(flips):
+                if flip is None:
+                    continue
+                if flip != polarity:
+                    np.invert(mask, out=mask)
+                    polarity = flip
+                lo, hi = block[:, :, b, 0], block[:, :, b, 1]
+                np.bitwise_xor(lo, hi, out=d)
+                np.bitwise_and(d, mask, out=d)
+                np.bitwise_xor(lo, d, out=lo)
+                np.bitwise_xor(hi, d, out=hi)
+
+
 def _standard_bv_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Swap the target pair wherever f(x) = 1.
-    pairs = amps.reshape(*amps.shape[:-1], -1, 2)
-    sel = np.flatnonzero(table)
-    pairs[..., sel, :] = pairs[..., sel, ::-1]
+    _swap_targets(amps, n, table, (1,))
 
 
 def _toffoli_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Target flips only on the control=1 half of the f(x)=1 slices.
-    blocks = amps.reshape(*amps.shape[:-1], -1, 2, 2)
-    sel = np.flatnonzero(table)
-    blocks[..., sel, 1, :] = blocks[..., sel, 1, ::-1]
+    _swap_targets(amps, n, table, (None, 1))
 
 
 def _phase_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
-    # Diagonal: negate amplitudes with f(x) = 1 and flag qubit 0.
-    blocks = amps.reshape(*amps.shape[:-1], 1 << n, 2, -1)
-    sel = np.flatnonzero(table)
-    blocks[..., sel, 0, :] *= -1.0
+    # Diagonal: multiply the flag-0 half by the sign 1 - 2 f(x), exactly,
+    # one tile of x at a time, one strided column per trailing index (one
+    # at the oracle's own width, two in ccnot-bva).
+    blocks = amps.reshape(-1, 1 << n, 2, amps.shape[-1] >> (n + 1))
+    rows = min(_TILE, 1 << n)
+    signs = np.empty(rows)
+    for x in range(0, 1 << n, rows):
+        half = blocks[:, x : x + rows, 0]
+        sign = signs[: half.shape[1]]
+        np.copyto(sign, table[x : x + rows])
+        sign *= -2.0
+        sign += 1.0
+        for c in range(blocks.shape[-1]):
+            column = half[..., c]
+            np.multiply(column, sign, out=column)
 
 
 def _two_register_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
@@ -106,11 +158,7 @@ def _two_register_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
 
 def _single_xor_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Target flips where f(x) and the control bit disagree.
-    blocks = amps.reshape(*amps.shape[:-1], -1, 2, 2)
-    ones = np.flatnonzero(table)
-    zeros = np.flatnonzero(table == 0)
-    blocks[..., ones, 0, :] = blocks[..., ones, 0, ::-1]
-    blocks[..., zeros, 1, :] = blocks[..., zeros, 1, ::-1]
+    _swap_targets(amps, n, table, (1, 0))
 
 
 # Kind -> (kernel, register width for arity n, dense-matrix structure).

@@ -13,9 +13,15 @@ single-qubit kets that follow the data block after the first Hadamard
 layer and after the last oracle, and its oracle steps with the closed
 forms checked after each.  ``_circuit`` applies a record's layers and
 ``_run`` checks each stage, then reads out.  Each reference is the left
-Kronecker fold of the factors its closed form lists; ``state_delta``
-streams that fold chunk by chunk against the state, so no full-size
-reference is ever built.
+Kronecker fold of the factors its closed form lists, a high and a low
+factor; ``state_delta`` streams that fold chunk by chunk against the
+state, so no full-size reference is ever built.  Product states list a
+high factor over the top data bits and a low factor of at most ``_TILE``
+amplitudes, the low data bits folded with the trailing kets, so a chunk
+of the fold costs one or two multiplies.  The entangled state after the
+flip oracle is one table block of 2**(n+1) amplitudes and the target ket;
+the pairwise-sign state is the table's sign vector S over x and S 2**-n
+over y, folded with the target.
 
 Register layouts (qubit 0 topmost, most significant):
 
@@ -24,9 +30,9 @@ Register layouts (qubit 0 topmost, most significant):
   pi                  n data + n middle + 1 target   1 oracle call
   single-oracle-bva   n data + 1 control + 1 target  1 oracle call
 
-Stage references are rebuilt from the truth table with parity arithmetic
-(hadamard_of_key plus Kronecker products), never with the gate kernels
-under test, so a kernel bug cannot cancel out of the comparison.  The
+Stage references are rebuilt from the key read off the truth table, or
+from the table itself, with parity arithmetic (hadamard_of_key, basis
+kets and Kronecker products), never with the gate kernels under test, so a kernel bug cannot cancel out of the comparison.  The
 comparator is phase-sensitive throughout; the up-to-phase variant is used
 nowhere in this module.  Every gate and every closed form here is real, so
 states and references are float64 from start to end.
@@ -48,6 +54,7 @@ from .statevector import (
     basis_state,
     certain_outcome,
     hadamard_of_key,
+    low_factor_bits,
     marginal,
     measure_certain,  # noqa: F401  not called here; benchmarks/tracing.py swaps it
     split_singular_values,
@@ -137,13 +144,10 @@ def distribution_table(probs: np.ndarray, width: int) -> dict[str, float]:
     }
 
 
-def _kets(signs: str) -> list[StateVector]:
+def _kets(signs: str) -> list[np.ndarray]:
     """One single-qubit ket per sign: "+" for |+>, "-" for |->."""
     r = 2.0**-0.5
-    return [
-        StateVector(1, np.array([r, r if s == "+" else -r]))
-        for s in signs
-    ]
+    return [np.array([r, r if s == "+" else -r]) for s in signs]
 
 
 def _weight1_read_key(f: BooleanFunction) -> BitString:
@@ -158,43 +162,77 @@ def _complement_read_key(f: BooleanFunction) -> BitString:
     return BitString.of(int(f.table[basis_k(n, j).to_int()]) for j in range(n))
 
 
-# Closed forms.  Each maps (record, table, expected key) to the factors
-# whose left Kronecker fold is the whole state at one stage.
+# Closed forms.  Each maps (record, table, expected key) to at most two
+# factors whose left Kronecker fold is the whole state at one stage.  For
+# a product state they are a high factor and a low factor of at most one
+# state_delta chunk (low_factor_bits), so that state_delta builds each
+# chunk of the fold with one or two multiplies.
+
+
+def _product(
+    p: _Pipeline,
+    key: BitString,
+    data: Callable[[int, BitString], StateVector],
+    tail: list[np.ndarray],
+) -> list[StateVector]:
+    """data(m, key repeated per register), then the tail kets, as two factors.
+
+    data is basis_state or hadamard_of_key.  The low factor holds the low
+    data bits, folded with the tail kets as np.kron folds them; the high
+    factor holds the other data bits, if any.  The low bits are an even
+    count unless they are all of the data bits, so hadamard_of_key's scale
+    on them, 2**(-b/2), is a power of two, and the fold of the two factors
+    has the bits of the fold of the whole data block with the kets.  With
+    two registers the data block is data(2n, key key), whose scale is the
+    exact 2**-n; H(key) (x) H(key) squares a rounded 2**(-n/2), so at odd
+    n the two differ by up to 1 ulp.
+    """
+    label = list(key) * p.registers
+    m = len(label)
+    low = min(m, low_factor_bits(len(tail)))
+    block = data(low, BitString.of(label[m - low :])).amps
+    for ket in tail:
+        block = np.multiply.outer(block, ket).reshape(-1)
+    factors = [StateVector(low + len(tail), block)]
+    if low < m:
+        factors.insert(0, data(m - low, BitString.of(label[: m - low])))
+    return factors
 
 
 def _initial(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
-    """The start label as a zero data block, then one ket per spread qubit."""
-    m = p.registers * f.arity
-    tail = [basis_state(1, BitString.of([int(s == "-")])) for s in p.spread]
-    return [basis_state(m, BitString.zeros(m)), *tail]
+    """The start label: a zero data block, then one basis ket per spread qubit."""
+    tail = [np.eye(2)[int(s == "-")] for s in p.spread]
+    return _product(p, BitString.zeros(f.arity), basis_state, tail)
 
 
 def _spread(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
-    m = p.registers * f.arity
-    uniform = np.full(1 << m, 2.0 ** (-m / 2.0))
-    return [StateVector(m, uniform), *_kets(p.spread)]
+    return _product(p, BitString.zeros(f.arity), hadamard_of_key, _kets(p.spread))
 
 
 def _key_phase(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
-    return [hadamard_of_key(f.arity, key)] * p.registers + _kets(p.tail)
+    return _product(p, key, hadamard_of_key, _kets(p.tail))
 
 
 def _key_basis(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
-    return [basis_state(f.arity, key)] * p.registers + _kets(p.tail)
+    return _product(p, key, basis_state, _kets(p.tail))
 
 
 def _signed_pair(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
     """The data+control block after the flip oracle, then the target.
 
     For each x the control doublet is (|x 0> + (-1)**f(x) |x 1>) / sqrt(2),
-    built directly from the truth table.
+    built directly from the truth table in the block's one allocation:
+    scale - 2 scale f(x) is exactly (1 - 2 f(x)) scale.
     """
     n = f.arity
+    scale = 2.0 ** (-(n + 1) / 2.0)
     block = np.empty((1 << n, 2))
-    block[:, 0] = 1.0
-    block[:, 1] = 1.0 - 2.0 * f.table.astype(np.float64)
-    pairs = StateVector(n + 1, block.reshape(-1) * 2.0 ** (-(n + 1) / 2.0))
-    return [pairs, *_kets("-")]
+    block[:, 0] = scale
+    signed = block[:, 1]
+    np.copyto(signed, f.table)
+    signed *= -2.0 * scale
+    signed += scale
+    return [StateVector(n + 1, block.reshape(-1)), StateVector(1, _kets("-")[0])]
 
 
 def _pairwise_sign(
@@ -203,12 +241,14 @@ def _pairwise_sign(
     """The two-register block, sign (-1)**(f(x) xor f(y)), then the target.
 
     Uses the exact identity (-1)**(a xor b) == (-1)**a * (-1)**b for bits,
-    so the reference depends on the table alone.
+    so the block is S (x) S 2**-n with S = 1 - 2f, and the reference
+    depends on the table alone.  The high factor is S over x; the low one
+    is S 2**-n over y, folded with the target.
     """
     n = f.arity
     signs = 1.0 - 2.0 * f.table.astype(np.float64)
-    block = np.multiply.outer(signs, signs).reshape(-1) / float(1 << n)
-    return [StateVector(2 * n, block), *_kets("-")]
+    low = np.multiply.outer(signs / float(1 << n), *_kets("-")).reshape(-1)
+    return [StateVector(n, signs), StateVector(n + 1, low)]
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,7 @@ __all__ = [
     "sample",
     "draw",
     "state_delta",
+    "low_factor_bits",
     "state_close",
     "state_close_up_to_global_phase",
     "check_unitary",
@@ -454,6 +455,16 @@ def state_delta(a: StateVector, *factors: StateVector) -> float:
         np.abs(diff, out=diff)
         peaks[j] = diff.max()
     return float(peaks.max())
+
+
+def low_factor_bits(tail: int) -> int:
+    """Largest even b with 2**(b + tail) <= ``_TILE``.
+
+    A low factor of b bits and tail more qubits fits one ``_TILE`` chunk of
+    ``state_delta``, and on an even b ``hadamard_of_key``'s scale,
+    2**(-b/2), is an exact power of two.
+    """
+    return (_TILE.bit_length() - 1 - tail) & ~1
 
 
 def state_close(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:

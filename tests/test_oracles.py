@@ -129,6 +129,78 @@ def test_two_register_kernel_is_the_exact_swap_in_row_blocks(n, tile, k, seed):
     assert single.tobytes() == expected[0].tobytes()
 
 
+def _expected_by_index(kind, table, n, extra, states):
+    """The kernel's result built in the test: an index permutation or signs."""
+    m = kind.qubit_count(n) + extra
+    v = np.arange(1 << m)
+    t = table.astype(np.int64)
+    if kind is OracleKind.PHASE:
+        x, flag = v >> (extra + 1), (v >> extra) & 1
+        return states * np.where((t[x] == 1) & (flag == 0), -1.0, 1.0)
+    if kind is OracleKind.STANDARD_BV:
+        flip = t[v >> 1]
+    elif kind is OracleKind.TOFFOLI:
+        flip = t[v >> 2] & (v >> 1)
+    elif kind is OracleKind.SINGLE_XOR:
+        flip = t[v >> 2] ^ (v >> 1)
+    else:
+        flip = t[v >> (n + 1)] ^ t[(v >> 1) & ((1 << n) - 1)]
+    return states[:, v ^ (flip & 1)]
+
+
+@st_.composite
+def byte_cases(draw):
+    kind = draw(st_.sampled_from(list(OracleKind)))
+    n = draw(st_.integers(1, 4 if kind is OracleKind.TWO_REGISTER else 6))
+    extra = draw(st_.integers(0, 2)) if kind is OracleKind.PHASE else 0
+    tile = draw(st_.sampled_from([1, 4, 64, oracles._TILE]))
+    return kind, n, extra, tile, draw(st_.integers(1, 3)), draw(st_.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(byte_cases())
+def test_every_kernel_is_its_exact_permutation_or_sign_in_tiles(case):
+    # For any tile, on a batch and on one state, each kernel gives the bits
+    # of its permutation or sign vector built here, -0.0, 0.0 and NaN
+    # entries included.
+    kind, n, extra, tile, k, seed = case
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 2, size=1 << n).astype(np.uint8)
+    states = rng.normal(size=(k, 1 << (kind.qubit_count(n) + extra)))
+    special = rng.integers(0, 8, size=states.shape)
+    states[special == 0] = -0.0
+    states[special == 1] = 0.0
+    states[special == 2] = np.nan
+    expected = _expected_by_index(kind, table, n, extra, states)
+    batch, single = states.copy(), states[0].copy()
+    kernel = _ORACLES[kind][0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_TILE", tile)
+        kernel(batch, n, table)
+        kernel(single, n, table)
+    assert batch.tobytes() == expected.tobytes()
+    assert single.tobytes() == expected[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [OracleKind.STANDARD_BV, OracleKind.TOFFOLI, OracleKind.PHASE, OracleKind.SINGLE_XOR],
+)
+def test_kernel_on_a_20_qubit_state_holds_at_most_two_tiles(kind):
+    # Masks, differences or signs only: no part of the state is gathered.
+    n = 20 - kind.qubit_count(0)
+    table = np.random.default_rng(5).integers(0, 2, 1 << n, dtype=np.uint8)
+    amps = np.random.default_rng(6).normal(size=1 << 20)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _ORACLES[kind][0](amps, n, table)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * statevector._TILE * 8 + 8192, peak
+
+
 @pytest.mark.parametrize("kind", list(OracleKind))
 def test_dense_matrix_is_one_float64_kernel_call(kind, monkeypatch):
     kernel, width, structure = _ORACLES[kind]

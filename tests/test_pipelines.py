@@ -1,12 +1,14 @@
 """Pipelines vs the dense reference: every stage, every key, every report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import refsim
-from bvlab import pipelines
+from bvlab import pipelines, statevector
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.pipelines import (
     ALGORITHMS,
@@ -19,6 +21,7 @@ from bvlab.pipelines import (
     run_pi,
     run_single_oracle_bva,
 )
+from bvlab.statevector import basis_state, hadamard_of_key
 from bvlab.truthtable import BooleanFunction, bv_function, pi_function
 
 EXPECTED_CALLS = {"bva": 1, "ccnot-bva": 2, "pi": 1, "single-oracle-bva": 1}
@@ -64,6 +67,107 @@ def test_stages_and_references_are_float64(name):
         for _, form in forms:
             for factor in form(p, f, key):
                 assert factor.amps.dtype == np.float64, stage
+
+
+def _kron_fold(*parts):
+    amps = np.ones(1)
+    for part in parts:
+        amps = np.kron(amps, part)
+    return amps
+
+
+def _forms(p):
+    """Every closed form one pipeline record checks."""
+    forms = [pipelines._initial, pipelines._spread, pipelines._key_basis]
+    return forms + [form for _, _, checks in p.steps for _, form in checks]
+
+
+def _whole_forms(p, f, key):
+    """Each closed form built whole, as one array, from its whole data block."""
+    n, r = f.arity, 2.0**-0.5
+    kets = {"+": np.array([r, r]), "-": np.array([r, -r])}
+    basis = {"+": np.array([1.0, 0.0]), "-": np.array([0.0, 1.0])}
+    m = p.registers * n
+    signs = 1.0 - 2.0 * f.table.astype(np.float64)
+    pair = np.empty((1 << n, 2))
+    pair[:, 0], pair[:, 1] = 1.0, signs
+    return {
+        pipelines._initial: _kron_fold(
+            basis_state(m, BitString.zeros(m)).amps, *(basis[c] for c in p.spread)
+        ),
+        pipelines._spread: _kron_fold(
+            np.full(1 << m, 2.0 ** (-m / 2.0)), *(kets[c] for c in p.spread)
+        ),
+        pipelines._key_phase: _kron_fold(
+            *[hadamard_of_key(n, key).amps] * p.registers, *(kets[c] for c in p.tail)
+        ),
+        pipelines._key_basis: _kron_fold(
+            *[basis_state(n, key).amps] * p.registers, *(kets[c] for c in p.tail)
+        ),
+        pipelines._signed_pair: _kron_fold(
+            pair.reshape(-1) * 2.0 ** (-(n + 1) / 2.0), kets["-"]
+        ),
+        pipelines._pairwise_sign: _kron_fold(
+            np.multiply.outer(signs, signs).reshape(-1) / float(1 << n), kets["-"]
+        ),
+    }
+
+
+@pytest.mark.parametrize("tile", [1 << 4, 1 << 5, 1 << 7, statevector._TILE])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_factored_forms_fold_to_the_whole_forms(name, tile, monkeypatch):
+    # The fold of a form's high and low factors has the bits of the form
+    # built whole, for any split.  At odd n pi's key phase is the exact
+    # 2**-n, where the whole form squares a rounded 2**(-n/2): 1 ulp at most.
+    monkeypatch.setattr(statevector, "_TILE", tile)
+    make = ALGORITHMS[name][1]
+    p = pipelines._PIPELINES[name]
+    rng = np.random.default_rng(tile)
+    for n in range(1, 9):
+        f = make(BitString.of(rng.integers(0, 2, n)))
+        key = p.read_key(f)
+        whole = _whole_forms(p, f, key)
+        for form in _forms(p):
+            factors = form(p, f, key)
+            assert len(factors) <= 2
+            folded = _kron_fold(*(x.amps for x in factors))
+            if name == "pi" and n % 2 and form is pipelines._key_phase:
+                gap = np.abs(folded - whole[form])
+                assert np.all(gap <= np.spacing(np.abs(whole[form]))), n
+            else:
+                assert folded.tobytes() == whole[form].tobytes(), (form, n)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_product_forms_are_two_factors_of_at_most_a_tile(name):
+    # At n = 20, or n = 14 for pi (a 4 GiB state), a product form lists at
+    # most 2 * _TILE amplitudes, where the whole form lists the state's
+    # 2**22 or more.
+    make = ALGORITHMS[name][1]
+    n = 14 if name == "pi" else 20
+    f = make(BitString.of(np.random.default_rng(n).integers(0, 2, n)))
+    p = pipelines._PIPELINES[name]
+    key = p.read_key(f)
+    for form in _forms(p):
+        if form is pipelines._signed_pair:
+            continue  # entangled: a table block, checked below
+        factors = form(p, f, key)
+        assert len(factors) == 2, form
+        assert sum(x.amps.size for x in factors) <= 2 * statevector._TILE, form
+
+
+def test_signed_pair_allocates_only_its_block():
+    f = bv_function(BitString.of(np.random.default_rng(2).integers(0, 2, 20)))
+    p = pipelines._PIPELINES["ccnot-bva"]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        block, target = pipelines._signed_pair(p, f, p.read_key(f))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert block.amps.size == 1 << 21 and target.amps.size == 2
+    assert peak <= block.amps.nbytes + 8192, peak
 
 
 def test_pipeline_queries_leave_classical_counter_alone():
