@@ -51,17 +51,31 @@ of every pipeline's first register up to pi at n = 14; other registers,
 such as pi's middle one, are within 1e-14 with bits fixed by ``_TILE``.
 
 The dense-matrix checks stream as well, each in one reused buffer and
-with no full-size temporary.  ``check_unitary`` forms only the upper
-triangle of M^T M, one column panel at a time (GEMM above the diagonal
-block, syrk on it: blocked products in the manner of Goto & van de Geijn
-2008), and stops at the first panel over tol.  ``check_hermitian``
-compares each tile above the diagonal, and each diagonal tile, with its
-mirror.  ``check_permutation`` and ``check_signed_diagonal`` walk row
-blocks of at most ``_TILE`` entries, of M^T when M is F-ordered, since
-both conditions read the same on M and M^T.  Every test has the form
-"not x <= tol", so a NaN fails it.  The verdicts are those of the
-whole-matrix expressions: exactly so for entries of 0 and +-1, and for
-other floats up to the summation order of the products.
+with no full-size temporary.  Every oracle is a signed permutation that
+only moves amplitudes inside target pairs, so its matrix is block-diagonal
+in 2 x 2 blocks and nearly all of its ``_SIDE`` x ``_SIDE`` tiles are
+zero.  ``check_unitary`` and ``check_hermitian`` first find, for each
+column tile, the span of rows that hold a nonzero (NaN and inf count as
+nonzero), and work only on tiles that can hold one: products of known
+zeros are skipped, as in Gustavson's sparse products (ACM TOMS 4(3),
+1978).  ``check_unitary`` forms the tiles of the upper triangle of M^T M,
+each a product over the rows where both column tiles' spans meet, and
+skips a tile whose spans do not meet.  ``check_hermitian`` compares tile
+(i, j) with its mirror (j, i) unless both are zero.  Both stop at the
+first tile over tol.  Skipping changes no verdict: a skipped Gram entry is
+an exact sum of zero products and a skipped mirror pair is 0 - 0, while
+every diagonal tile is always formed, so a non-finite entry still reaches
+its column's diagonal Gram entry and a negative or NaN tol still fails
+there.  A dense input has full spans and gets one small product per tile:
+on 2 cores a dense 2048 x 2048 ``check_unitary`` took 73 ms in F order
+and 103 ms in C order, where 256-column Gram panels took 53 ms.
+
+``check_permutation`` and ``check_signed_diagonal`` walk row blocks of at
+most ``_TILE`` entries, of M^T when M is F-ordered, since both conditions
+read the same on M and M^T.  Every test has the form "not x <= tol", so a
+NaN fails it.  The verdicts are those of the whole-matrix expressions:
+exactly so for entries of 0 and +-1, and for other floats up to the
+summation order of the products.
 
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
@@ -117,17 +131,11 @@ _TILE = 1 << 15
 # every size; 5 took 1.0, 8.4-11 and 44-49 ms.
 _RUN = 4
 
-# Columns per Gram panel in check_unitary.  On 2 cores, a 2048 x 2048
-# check took medians of 150-197 ms with 256, 174-231 ms with 192 and
-# 189-265 ms with 128; at 512 x 512, 3.6-3.9 ms with 256 and 4.0-4.6 ms
-# with 128.
-_PANEL = 256
-
-# Side of the square tiles check_hermitian compares.  On 2 cores, medians
-# at 512 x 512 were 0.67-0.80 ms with 128, 1.04-1.05 ms with 64 and
-# 0.87-0.89 ms with 256; at 2048 x 2048, 17.6-18.2, 18.1-19.1 and
-# 30.8-35.5 ms.
-_SIDE = 128
+# Side of the square tiles both dense-matrix checks work in.  On 2 cores,
+# per 100 two-register oracle matrices of 512 x 512, check_unitary took
+# 21, 18 and 29 ms with sides 32, 64 and 128, and check_hermitian 20, 19
+# and 26 ms.
+_SIDE = 64
 
 
 @functools.cache
@@ -509,29 +517,60 @@ def _row_blocks(m: np.ndarray, *dtypes):
         yield (r0, block, *(buffer[: len(block)] for buffer in buffers))
 
 
-def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M^T M - I| <= tol, over the upper triangle of M^T M.
+def _tile_pairs(m: np.ndarray, w: int):
+    """Yield (i0, j0, i_span, j_span) for each pair of column tiles i0 <= j0.
 
-    M^T M is symmetric, so only its upper part is formed, one column panel
-    J of k <= _PANEL columns at a time, as a C-ordered (j0 + k, k) array at
-    the head of one n * _PANEL buffer: M[:, :j0]^T M[:, J] by GEMM and the
-    diagonal block M[:, J]^T M[:, J] by syrk.  That is the flop count of
-    one whole-matrix M^T M, with no identity and no full-size residue.  A
-    NaN anywhere fails, as it fails the whole-matrix maximum.
+    The tiles are m[:, i0 : i0 + w] and m[:, j0 : j0 + w]; pairs come by
+    j0 and then by i0, so (j0, j0) ends each run.  Every nonzero entry of
+    a column tile, NaN and inf included, lies in the rows lo..hi-1 of its
+    span (lo, hi); a tile of zeros has the empty span (0, 0).  Each tile's
+    span is found when the walk reaches it, in one bool tile laid out as m
+    is, so that it reads m in order, and one bool per row, both allocated
+    once per walk.  The tile is filled by a cast, which is x != 0 for each
+    entry: unlike np.not_equal, np.copyto allocates no buffer for a
+    strided 2-D operand.
+    """
+    n = len(m)
+    order = "F" if m.flags.f_contiguous else "C"
+    mask = np.empty(n * w, bool)
+    rows = np.empty(n, bool)
+    spans = []
+    for j0 in range(0, n, w):
+        tile = m[:, j0 : j0 + w]
+        nonzero = mask[: tile.size].reshape(tile.shape, order=order)
+        np.copyto(nonzero, tile, casting="unsafe")
+        np.logical_or.reduce(nonzero, axis=1, out=rows)
+        lo = int(rows.argmax())
+        spans.append((lo, n - int(rows[::-1].argmax())) if rows[lo] else (0, 0))
+        for i0, i_span in zip(range(0, j0 + 1, w), spans):
+            yield i0, j0, i_span, spans[-1]
+
+
+def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
+    """max |M^T M - I| <= tol, over the tiles of M^T M that can be nonzero.
+
+    M^T M is symmetric, so only tiles (i, j) with i <= j are formed, each
+    in one _SIDE x _SIDE buffer: M[R, I]^T M[R, J] over the rows R where
+    both column tiles' spans meet.  An off-diagonal tile whose spans do not
+    meet is an exact sum of zero products and is skipped; a diagonal tile
+    is always formed, over its column tile's span.  A NaN or inf in a
+    column reaches that column's diagonal entry, so it fails, as it fails
+    the whole-matrix maximum, and so does a negative or NaN tol.
     """
     m = _as_square(matrix)
-    n = len(m)
-    gram = np.empty(n * min(_PANEL, n))
-    for j0 in range(0, n, _PANEL):
-        panel = m[:, j0 : j0 + _PANEL]
-        k = panel.shape[1]
-        block = gram[: (j0 + k) * k].reshape(j0 + k, k)
-        if j0:
-            np.matmul(m[:, :j0].T, panel, out=block[:j0])
-        np.matmul(panel.T, panel, out=block[j0:])
-        # block[j0 + t, t] is the flat entry j0 * k + t * (k + 1).
-        diagonal = gram[j0 * k : (j0 + k) * k : k + 1]
-        np.subtract(diagonal, 1.0, out=diagonal)
+    w = min(_SIDE, len(m))
+    gram = np.empty(w * w)
+    for i0, j0, (i_lo, i_hi), (lo, hi) in _tile_pairs(m, w):
+        r0, r1 = max(lo, i_lo), min(hi, i_hi)
+        if r0 >= r1 and i0 < j0:
+            continue
+        left, right = m[r0:r1, i0 : i0 + w], m[r0:r1, j0 : j0 + w]
+        k = right.shape[1]
+        block = gram[: left.shape[1] * k].reshape(-1, k)
+        np.matmul(left.T, right, out=block)
+        if i0 == j0:
+            diagonal = gram[: k * k : k + 1]
+            np.subtract(diagonal, 1.0, out=diagonal)
         np.abs(block, out=block)
         if not block.max() <= tol:
             return False
@@ -541,26 +580,30 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
 def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """max |M - M^T| <= tol, comparing tile (i, j) with tile (j, i) for i <= j.
 
-    Diagonal tiles are compared too, so an infinite diagonal entry fails
-    (inf - inf is NaN).  Both tiles are copied into one buffer of two
-    _SIDE x _SIDE tiles first, so every ufunc works on contiguous memory:
-    given a strided 2-D operand, numpy's ufunc loop allocates a buffer of
-    its own.
+    A pair is skipped when neither tile can hold a nonzero: rows I miss
+    column tile J's span and rows J miss column tile I's span, so both are
+    zero.  Diagonal tiles are always compared, so an infinite diagonal
+    entry fails (inf - inf is NaN), and so does a negative or NaN tol.
+    Both tiles are copied into one buffer of two _SIDE x _SIDE tiles
+    first, so every ufunc works on contiguous memory: given a strided 2-D
+    operand, numpy's ufunc loop allocates a buffer of its own.
     """
     m = _as_square(matrix)
-    n = len(m)
-    w = min(_SIDE, n)
+    w = min(_SIDE, len(m))
     pair = np.empty((2, w * w))
-    for i in range(0, n, w):
-        for j in range(i, n, w):
-            upper = m[i : i + w, j : j + w]
-            a, b = (half[: upper.size].reshape(upper.shape) for half in pair)
-            np.copyto(a, upper)
-            np.copyto(b, m[j : j + w, i : i + w].T)
-            np.subtract(a, b, out=a)
-            np.abs(a, out=a)
-            if not a.max() <= tol:
-                return False
+    for i0, j0, (i_lo, i_hi), (lo, hi) in _tile_pairs(m, w):
+        if i0 < j0 and not (lo < i0 + w and i0 < hi) and not (
+            i_lo < j0 + w and j0 < i_hi
+        ):
+            continue
+        upper = m[i0 : i0 + w, j0 : j0 + w]
+        a, b = (half[: upper.size].reshape(upper.shape) for half in pair)
+        np.copyto(a, upper)
+        np.copyto(b, m[j0 : j0 + w, i0 : i0 + w].T)
+        np.subtract(a, b, out=a)
+        np.abs(a, out=a)
+        if not a.max() <= tol:
+            return False
     return True
 
 

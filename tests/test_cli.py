@@ -268,6 +268,29 @@ def test_certify_tamper_hook_is_caught(capsys, monkeypatch):
     assert doc["kinds"]["toffoli"]["unitary_failures"] == 0
 
 
+@pytest.mark.parametrize("row, col, value", [(0, 511, 1.0), (511, 0, float("nan"))])
+def test_certify_catches_an_entry_in_a_zero_tile(capsys, monkeypatch, row, col, value):
+    # Each 512 x 512 two-register matrix at n = 4 is block-diagonal in 2 x 2
+    # blocks, so [0, 511] and [511, 0] lie in tiles that are otherwise zero.
+    dense = cli.oracle_dense_matrix
+
+    def bent(kind, f):
+        matrix = dense(kind, f)
+        if kind is OracleKind.TWO_REGISTER:
+            matrix[row, col] = value
+        return matrix
+
+    monkeypatch.setattr(cli, "oracle_dense_matrix", bent)
+    status, doc = run_json(capsys, "certify", "--n", "4")
+    assert status == 1
+    assert doc["all_passed"] is False
+    failures = {key: count for key, count in doc["kinds"]["two-register"].items()
+                if key.endswith("_failures")}
+    assert failures == {"unitary_failures": 100, "hermitian_failures": 100,
+                        "structure_failures": 100}
+    assert doc["kinds"]["toffoli"]["unitary_failures"] == 0
+
+
 def test_sweep(capsys):
     status, doc = run_json(capsys, "sweep", "--n", "2")
     assert status == 0

@@ -70,6 +70,8 @@ def _cli_cases() -> dict[str, list[str]]:
             ]
     cases["sweep 3"] = ["sweep", "--n", "3"]
     cases["certify 2"] = ["certify", "--n", "2"]
+    # Exhaustive: all 256 functions of 3 bits, 128 x 128 two-register matrices.
+    cases["certify 3"] = ["certify", "--n", "3"]
     cases["certify 4 seed 3"] = ["certify", "--n", "4", "--seed", "3"]
     return cases
 

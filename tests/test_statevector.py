@@ -16,6 +16,7 @@ import refsim
 from bvlab import statevector
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.errors import DimensionMismatchError, NotDeterministicError
+from bvlab.oracles import OracleKind, oracle_dense_matrix
 from bvlab.statevector import (
     DUMP_EPS,
     StateVector,
@@ -37,6 +38,7 @@ from bvlab.statevector import (
     state_delta,
     tensor,
 )
+from bvlab.truthtable import BooleanFunction
 
 
 def random_state(m, seed):
@@ -645,21 +647,26 @@ def whole_matrix_verdicts(m, tol):
 
 @st_.composite
 def matrix_check_cases(draw):
-    """A matrix, its tol, and the _PANEL, _SIDE and _TILE to check it with.
+    """A matrix, its tol, and the _SIDE and _TILE to check it with.
 
-    The matrix is a signed permutation, involution or diagonal, or a dense
-    draw, with up to four entries set to drawn values, in C or F order or
-    as a strided view.  Entries come from {0, +-1, 1 +- tol/2, 1 +- 2 tol,
-    nan, +-inf}.
+    The matrix is a signed permutation, involution, diagonal or
+    block-diagonal of 2 x 2 blocks (the oracle shape), all zeros, or a
+    dense draw, with up to four entries set to drawn values, in C or F
+    order or as a strided view.  Entries come from {0, +-1, 1 +- tol/2,
+    1 +- 2 tol, nan, +-inf}.  A negative or NaN tol fails every check.
     """
     n = draw(st_.integers(1, 70))
-    tol = draw(st_.sampled_from([0.0, 1e-12, 1e-9]))
+    tol = draw(st_.sampled_from([0.0, 1e-12, 1e-9, -1e-12, np.nan, 1.0]))
     values = [0.0, 1.0, -1.0, 1 + tol / 2, 1 - tol / 2, 1 + 2 * tol, 1 - 2 * tol,
               np.nan, np.inf, -np.inf]
     rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
-    base = draw(st_.sampled_from(["permutation", "involution", "diagonal", "dense"]))
+    base = draw(st_.sampled_from(
+        ["permutation", "involution", "diagonal", "blocks", "zero", "dense"]
+    ))
     if base == "dense":
         m = rng.choice(values[:7], size=(n, n))
+    elif base == "zero":
+        m = np.zeros((n, n))
     else:
         perm = np.arange(n)
         if base == "permutation":
@@ -667,6 +674,8 @@ def matrix_check_cases(draw):
         elif base == "involution":
             pairs = rng.permutation(n)[: n // 2 * 2].reshape(-1, 2)
             perm[pairs[:, 0]], perm[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        elif base == "blocks":  # each pair 2i, 2i + 1 kept or swapped
+            perm[: n // 2 * 2] ^= rng.integers(0, 2, n // 2).repeat(2)
         signs = rng.choice([1.0, -1.0], n) if draw(st_.booleans()) else np.ones(n)
         # D P D keeps an involution symmetric and self-inverse.
         m = signs[:, None] * np.eye(n)[perm] * signs[None, :]
@@ -691,19 +700,24 @@ def matrix_check_cases(draw):
         view[...] = m
         m = view
     widths = st_.sampled_from([1, 3, 8])
-    return m, tol, draw(widths), draw(widths), draw(widths)
+    return m, tol, draw(widths), draw(widths)
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrix_check_cases())
-@example((np.array([[1.0, np.nan], [0.0, 1.0]]), 1e-12, 1, 1, 1))
-@example((np.diag([1.0, np.inf, -1.0]), 0.0, 1, 1, 1))  # inf - inf on the diagonal
+@example((np.array([[1.0, np.nan], [0.0, 1.0]]), 1e-12, 1, 1))
+@example((np.diag([1.0, np.inf, -1.0]), 0.0, 1, 1))  # inf - inf on the diagonal
+# An inf at [0, 8], so the whole-matrix Gram has 0 * inf = NaN in tiles
+# that are skipped here: the column's own diagonal entry fails instead.
+@example((np.where(np.arange(81).reshape(9, 9) == 8, np.inf, np.eye(9)), 0.0, 3, 1))
+@example((np.zeros((4, 4)), -1e-12, 3, 1))  # every tile skipped but the diagonal
+# Unit columns that are not orthogonal: only an off-diagonal tile fails.
+@example((np.array([[1.0, 1.0], [0.0, 0.0]]), 1e-12, 1, 1))
 def test_streamed_checks_match_whole_matrix_expressions(case):
-    m, tol, panel, side, tile = case
+    m, tol, side, tile = case
     with np.errstate(invalid="ignore", over="ignore"):
         expected = whole_matrix_verdicts(m, tol)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(statevector, "_PANEL", panel)
             mp.setattr(statevector, "_SIDE", side)
             mp.setattr(statevector, "_TILE", tile)
             got = {name: check(m, tol) for name, check in MATRIX_CHECKS.items()}
@@ -715,16 +729,28 @@ def test_matrix_checks_allocate_one_buffer():
     swapped = np.arange(n) ^ (np.arange(n) < n // 2)  # pairs swapped, rest fixed
     involution = np.eye(n)[swapped]
     signed = np.diag(np.where(np.arange(n) % 3, 1.0, -1.0))
-    rows = statevector._TILE // n
-    buffers = {
-        "unitary": n * min(statevector._PANEL, n) * 8,
-        "hermitian": 2 * min(statevector._SIDE, n) ** 2 * 8,  # a pair of tiles
-        "permutation": rows * n * 9 + n,  # a float tile, a bool tile, n bools
-        "signed-diagonal": rows * n * 8,
-    }
+    # The F-ordered 512 x 512 view that certify --n 4 checks.
+    table = np.random.default_rng(4).integers(0, 2, 16)
+    oracle = oracle_dense_matrix(OracleKind.TWO_REGISTER, BooleanFunction(table))
+    assert oracle.shape == (512, 512) and oracle.flags.f_contiguous
+
+    def buffer(name, size):
+        rows = statevector._TILE // size
+        w = min(statevector._SIDE, size)
+        spans = size * w + size  # a bool tile and one bool per row
+        return {
+            "unitary": w * w * 8 + spans,  # one Gram tile
+            "hermitian": 2 * w * w * 8 + spans,  # a pair of tiles
+            "permutation": rows * size * 9 + size,  # a float and a bool tile, bools
+            "signed-diagonal": rows * size * 8,
+        }[name]
+
     for name, check in MATRIX_CHECKS.items():
-        matrix = signed if name == "signed-diagonal" else involution
-        for layout in (matrix, matrix.T):
+        if name == "signed-diagonal":
+            inputs = (signed, signed.T)
+        else:
+            inputs = (involution, involution.T, oracle)
+        for layout in inputs:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -732,7 +758,7 @@ def test_matrix_checks_allocate_one_buffer():
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= buffers[name] + 8192, (name, peak)
+            assert peak <= buffer(name, len(layout)) + 8192, (name, len(layout), peak)
 
 
 def test_split_singular_values():
