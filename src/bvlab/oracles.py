@@ -10,14 +10,14 @@ rows of the float64 identity, returned as a transposed view; no copy.
 Its entries are 0, 1 or -1.
 
 No kernel gathers the amplitudes it moves.  Each walks the array in
-blocks of at most ``_TILE`` x values or amplitudes, of whole states when a
-state is smaller, and allocates at most two tiles whatever the state's
-size.  The flip kernels swap each target pair by exact bit arithmetic on
-the uint64 view of the amplitudes (an xor swap under an all-ones or zero
-mask per x), so bits move unchanged, NaNs and signed zeros included.  The
-phase kernel multiplies the flag-0 half by the +-1 sign of each x, an
-exact product.  The two-register kernel swaps the pair halves under a
-mask through a held tile.
+blocks of at most ``_TILE`` table indices or amplitudes, of whole states
+when a state is smaller, and allocates at most two tiles whatever the
+state's size.  All four flip kernels run one swap loop, exact bit
+arithmetic on the uint64 view of the amplitudes (an xor swap under an
+all-ones or zero mask per index), so bits move unchanged, NaN payloads
+and signed zeros included.  The two-register index is the 2n-bit (x, y),
+its mask f(x) ^ f(y) read one tile at a time, never as a 2**(2n) table.
+The phase kernel multiplies the flag-0 half by the +-1 sign of each x.
 
 One table, ``_ORACLES``, holds each kind's kernel, its register width for
 arity n, and the structure its dense matrix must have.  ``apply_oracle``,
@@ -74,25 +74,35 @@ class OracleKind(Enum):
 
 
 def _swap_targets(
-    amps: np.ndarray, n: int, table: np.ndarray, flips: tuple[int | None, ...]
+    amps: np.ndarray, n: int, table: np.ndarray, flips: tuple[int | None, ...],
+    pair: bool = False,
 ) -> None:
-    # The amplitudes are (states, x, control slice, target pair); flips[b]
-    # is the f(x) on which control slice b swaps its pair, or None.  On the
-    # uint64 view a swap is exact bit arithmetic with no gather:
-    # d = (lo ^ hi) & mask, lo ^= d, hi ^= d, the mask all ones where the
-    # pair swaps and zero elsewhere.  Blocks of whole states, or of x rows
-    # of one state, keep the mask and d at one tile each; the mask
-    # broadcasts over the states.
-    words = amps.view(np.uint64).reshape(-1, 1 << n, len(flips), 2)
-    states = max(1, _TILE >> n)
-    rows = min(_TILE, 1 << n)
-    masks = np.empty(rows, dtype=np.uint64)
+    # The one swap loop of all four flip kinds.  The amplitudes are (states,
+    # v, control slice, target pair), v being x, or with pair the 2n-bit
+    # (x, y) whose read is f(x) ^ f(y); flips[b] is the read on which slice
+    # b swaps its pair, or None.  On the uint64 view a swap is exact bit
+    # arithmetic with no gather: d = (lo ^ hi) & mask, lo ^= d, hi ^= d, the
+    # mask all ones where the pair swaps and zero elsewhere.  Blocks of
+    # whole states, or of v rows of one state, keep the mask and d at one
+    # tile each; the mask broadcasts over the states and is read one tile
+    # at a time, a pair mask from just the x and y rows the tile spans.
+    bits = 2 * n if pair else n
+    words = amps.view(np.uint64).reshape(-1, 1 << bits, len(flips), 2)
+    states = max(1, _TILE >> bits)
+    rows = min(_TILE, 1 << bits)
+    mask = np.empty(rows, dtype=np.uint64)
     diffs = np.empty((min(states, len(words)), rows), dtype=np.uint64)
+    grid = mask.reshape(-1, min(rows, 1 << n))
     for s in range(0, len(words), states):
-        for x in range(0, 1 << n, rows):
-            block = words[s : s + states, x : x + rows]
-            mask, d = masks[: block.shape[1]], diffs[: len(block), : block.shape[1]]
-            np.copyto(mask, table[x : x + rows])
+        for v in range(0, 1 << bits, rows):
+            block = words[s : s + states, v : v + rows]
+            d = diffs[: len(block)]
+            if pair:  # x rows by y, or part of one x row
+                x, y = v >> n, v & ((1 << n) - 1)
+                fx, fy = table[x : x + len(grid), None], table[y : y + grid.shape[1]]
+                np.bitwise_xor(fx, fy, out=grid)
+            else:
+                np.copyto(mask, table[v : v + rows])
             np.negative(mask, out=mask)
             polarity = 1
             for b, flip in enumerate(flips):
@@ -137,23 +147,8 @@ def _phase_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
 
 
 def _two_register_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
-    # Target flips where the two table reads disagree: swap the pair halves
-    # in place under that mask, an exact permutation without a gather.  The
-    # swap runs over blocks of whole states, or of x rows of one state, so
-    # it holds at most _TILE amplitudes.
-    blocks = amps.reshape(-1, 1 << n, 1 << n, 2)
-    states = max(1, _TILE >> (2 * n))
-    rows = min(max(1, _TILE >> n), 1 << n)
-    held = np.empty((min(states, len(blocks)), rows, 1 << n))
-    differs = np.empty((rows, 1 << n), dtype=bool)
-    for b in range(0, len(blocks), states):
-        for x in range(0, 1 << n, rows):
-            block = blocks[b : b + states, x : x + rows]
-            lo, hi, kept = block[..., 0], block[..., 1], held[: len(block)]
-            np.not_equal(table[x : x + rows, None], table, out=differs)
-            np.copyto(kept, lo)
-            np.copyto(lo, hi, where=differs)
-            np.copyto(hi, kept, where=differs)
+    # Target flips where the two table reads disagree.
+    _swap_targets(amps, n, table, (1,), pair=True)
 
 
 def _single_xor_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:

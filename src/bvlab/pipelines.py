@@ -32,10 +32,11 @@ Register layouts (qubit 0 topmost, most significant):
 
 Stage references are rebuilt from the key read off the truth table, or
 from the table itself, with parity arithmetic (hadamard_of_key, basis
-kets and Kronecker products), never with the gate kernels under test, so a kernel bug cannot cancel out of the comparison.  The
-comparator is phase-sensitive throughout; the up-to-phase variant is used
-nowhere in this module.  Every gate and every closed form here is real, so
-states and references are float64 from start to end.
+kets and Kronecker products), never with the gate kernels under test, so
+a kernel bug cannot cancel out of the comparison.  The comparator is
+phase-sensitive throughout; the up-to-phase variant is used nowhere in
+this module.  Every gate and every closed form here is real, so states
+and references are float64 from start to end.
 """
 
 from __future__ import annotations

@@ -385,3 +385,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["recovered"] == "1"
+
+
+# The standard-library modules that bvlab's sources import by name.  What
+# these and numpy load in turn is measured, not listed.
+_STDLIB_IMPORTS = (
+    "__future__", "argparse", "concurrent.futures.thread", "dataclasses", "enum",
+    "errno", "functools", "json", "math", "operator", "os", "pathlib", "re", "sys",
+    "typing",
+)
+
+
+def _loaded_modules(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('\\n'.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_nothing_beyond_bvlab_numpy_and_named_stdlib():
+    # Every CLI call pays for its imports: in a fresh interpreter, importing
+    # bvlab.cli loads only bvlab itself and what a bare interpreter loads
+    # for numpy and the standard-library modules named above.
+    ours = _loaded_modules("import bvlab.cli")
+    base = _loaded_modules("import numpy, " + ", ".join(_STDLIB_IMPORTS))
+    extra = [m for m in ours - base if m.partition(".")[0] != "bvlab"]
+    assert sorted(extra) == []

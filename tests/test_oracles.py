@@ -201,6 +201,58 @@ def test_kernel_on_a_20_qubit_state_holds_at_most_two_tiles(kind):
     assert peak <= 2 * statevector._TILE * 8 + 8192, peak
 
 
+def test_two_register_kernel_on_a_21_qubit_state_holds_two_tiles_and_a_table_tile():
+    # The mask f(x) ^ f(y) is read from the table one tile at a time, so
+    # besides the mask and difference tiles only numpy's casting buffers
+    # for the uint8 reads are held, less than one uint8 tile.  The
+    # 2**20-entry pair table would be four more tiles.
+    n = 10
+    table = np.random.default_rng(5).integers(0, 2, 1 << n, dtype=np.uint8)
+    amps = np.random.default_rng(6).normal(size=1 << (2 * n + 1))
+    expected = _expected_by_index(OracleKind.TWO_REGISTER, table, n, 0, amps[None])[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        oracles._two_register_kernel(amps, n, table)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * statevector._TILE * 8 + statevector._TILE + 8192, peak
+    assert amps.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st_.sampled_from([k for k in OracleKind if k is not OracleKind.PHASE]),
+    st_.integers(1, 4),
+    st_.sampled_from([1, 4, 64, oracles._TILE]),
+    st_.integers(0, 2**32 - 1),
+)
+def test_flip_kernels_move_nan_payloads_bit_for_bit(kind, n, tile, seed):
+    # Signalling and quiet NaNs keep their payloads and signs, for any tile:
+    # a swap moves words and does no float arithmetic.  The phase kernel is
+    # left out, since its product may quiet a signalling NaN.
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 2, size=1 << n).astype(np.uint8)
+    states = rng.normal(size=(2, 1 << kind.qubit_count(n)))
+    words = states.view(np.uint64)
+    payloads = np.array(
+        [0x7FF0000000000001, 0xFFF800000000DEAD, 0x7FF8000000000000, 0xFFF0000000BEEF01],
+        dtype=np.uint64,
+    )
+    special = rng.integers(0, 3, size=words.shape) == 0
+    words[special] = rng.choice(payloads, size=int(special.sum()))
+    expected = _expected_by_index(kind, table, n, 0, words)
+    batch, single = states.copy(), states[0].copy()
+    kernel = _ORACLES[kind][0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_TILE", tile)
+        kernel(batch, n, table)
+        kernel(single, n, table)
+    assert batch.view(np.uint64).tobytes() == expected.tobytes()
+    assert single.view(np.uint64).tobytes() == expected[0].tobytes()
+
+
 @pytest.mark.parametrize("kind", list(OracleKind))
 def test_dense_matrix_is_one_float64_kernel_call(kind, monkeypatch):
     kernel, width, structure = _ORACLES[kind]
@@ -260,8 +312,9 @@ def test_dense_matrix_capacity():
 
 def test_dense_matrix_allocates_only_the_matrix():
     # The kernel's rows come back transposed as a view, not a copy.  Besides
-    # the matrix, the two-register swap holds one tile, and numpy copies the
-    # source of its masked swap (it overlaps the target), one more tile.
+    # the matrix the swap holds its difference tile and a mask of 256 words,
+    # and numpy buffers the mask it broadcasts over 128 identity rows in one
+    # ufunc buffer of np.getbufsize() words; no second tile.
     f = BooleanFunction(np.random.default_rng(3).integers(0, 2, 16, dtype=np.uint8))
     tracemalloc.start()
     try:
@@ -271,7 +324,7 @@ def test_dense_matrix_allocates_only_the_matrix():
     finally:
         tracemalloc.stop()
     assert matrix.shape == (512, 512)
-    assert peak <= matrix.nbytes + 2 * statevector._TILE * 8 + 8192, peak
+    assert peak <= matrix.nbytes + (statevector._TILE + np.getbufsize()) * 8 + 8192, peak
 
 
 def test_flip_oracle_on_half_superposition_collects_parity_signs():

@@ -184,6 +184,21 @@ def test_load_table_peak_is_a_small_multiple_of_the_table():
     assert f.table[:4].tolist() == [0, 1, 0, 1]
 
 
+def test_dump_table_is_byte_identical_and_peaks_at_a_few_bytes_per_entry():
+    # Arity 20: 1 MiB of table, rendered in one vectorised step; the text
+    # returned is one of the bytes per entry the peak allows.
+    f = BooleanFunction(np.random.default_rng(9).integers(0, 2, 1 << 20, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        text = dump_table(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
+    assert text == "arity 20\n" + "".join(map(str, f.table.tolist())) + "\n"
+    assert load_table(text) == f
+
+
 def test_load_table_refuses_oversize_arity_before_allocating():
     tracemalloc.start()
     try:
