@@ -223,9 +223,12 @@ def _pf(failures: int) -> str:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     if args.n > CERTIFY_RANDOM_ARITY:
+        # Sizes as powers of two: 1 << (1 << 14) has too many digits for str.
+        qubits = 2 * args.n + 1
         return _usage_error(
-            f"certify handles n <= {CERTIFY_RANDOM_ARITY}; "
-            f"n={args.n} would need {1 << (1 << args.n)} functions"
+            f"certify handles n <= {CERTIFY_RANDOM_ARITY}; at n={args.n} the "
+            f"{qubits}-qubit two-register oracle matrix would take "
+            f"2**{2 * qubits + 3} bytes"
         )
 
     mode, functions = _certify_functions(args.n, args.seed)
@@ -304,9 +307,11 @@ def _sweep_text(doc: dict) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n > args.cap:
+        # A power of two, as in cmd_certify: 1 << 16001 is too long for str.
+        qubits = 2 * args.n + 1
         return _usage_error(
-            f"sweep n={args.n} exceeds cap {args.cap}; "
-            f"the 2n+1-qubit pipeline would hold {1 << (2 * args.n + 1)} amplitudes"
+            f"sweep n={args.n} exceeds cap {args.cap}; the {qubits}-qubit "
+            f"pipeline would hold 2**{qubits} amplitudes"
         )
     try:
         workers = _sweep_workers(1 << args.n)

@@ -50,12 +50,30 @@ a tile keeps the bits of a whole-array row sum, which covers the read-out
 of every pipeline's first register up to pi at n = 14; other registers,
 such as pi's middle one, are within 1e-14 with bits fixed by ``_TILE``.
 
-The dense-matrix checks stream as well, each in one reused buffer and
-with no full-size temporary.  Every oracle is a signed permutation that
-only moves amplitudes inside target pairs, so its matrix is block-diagonal
-in 2 x 2 blocks and nearly all of its ``_SIDE`` x ``_SIDE`` tiles are
-zero.  ``check_unitary`` and ``check_hermitian`` first find, for each
-column tile, the span of rows that hold a nonzero (NaN and inf count as
+The dense-matrix checks read a signed permutation from its nonzeros.
+Every oracle is one: each row and each column of its matrix holds exactly
+one +-1.  Each check first walks the row blocks once, as
+``_signed_permutation``, and when every line (row, or column of an
+F-ordered matrix) holds one finite nonzero s at a distinct column, it
+takes its verdict from those N values: unitary is |s^2 - 1| <= tol,
+self-adjoint is |s - mirror| <= tol, where a line's mirror is the value
+of the line its column names if that line names it back, else 0.  For
+0 <= tol < 1, permutation is |s - 1| <= tol and signed diagonal is every
+s on the diagonal with ||s| - 1| <= tol.  These verdicts are the dense
+ones bit for bit: every entry of M^T M is one product s * s or an exact
+zero, every entry of M - M^T is s - mirror, -s or 0 - 0, and below tol 1
+a zero is near 0 and never near 1.  From tol = 1 on a zero counts as near
+1, so the two structure checks read only below it.
+
+Any other matrix takes the dense path, as does a tol outside [0, 1) in
+the structure checks: a line with two nonzeros (tolerance dust next to a
+1), a zero line, a shared column, a NaN or inf, or a general matrix such
+as H.  There each check streams in one reused buffer with no full-size
+temporary.  A matrix near an oracle's is block-diagonal in 2 x 2 blocks
+but for a few entries, so nearly all of its ``_SIDE`` x ``_SIDE`` tiles
+are zero.
+``check_unitary`` and ``check_hermitian`` first find, for each column
+tile, the span of rows that hold a nonzero (NaN and inf count as
 nonzero), and work only on tiles that can hold one: products of known
 zeros are skipped, as in Gustavson's sparse products (ACM TOMS 4(3),
 1978).  ``check_unitary`` forms the tiles of the upper triangle of M^T M,
@@ -517,6 +535,35 @@ def _row_blocks(m: np.ndarray, *dtypes):
         yield (r0, block, *(buffer[: len(block)] for buffer in buffers))
 
 
+def _signed_permutation(m: np.ndarray):
+    """(index, value) of each line's one nonzero, if m is a signed permutation.
+
+    A line is a row of m, or of m^T when m is F-ordered: one walk of
+    ``_row_blocks`` through one bool tile, filled by the cast that
+    ``_tile_pairs`` uses, so a strided block gets no ufunc buffer.  Line i
+    holds value[i] at column index[i].  None unless every line holds
+    exactly one nonzero (NaN and inf count), no two lines share a column,
+    and every value is finite.
+    """
+    n = len(m)
+    index = np.empty(n, np.intp)
+    value = np.empty(n)
+    for r0, block, nonzero in _row_blocks(m, bool):
+        np.copyto(nonzero, block, casting="unsafe")
+        if np.count_nonzero(nonzero) != len(block):
+            return None
+        lines = index[r0 : r0 + len(block)]
+        np.argmax(nonzero, axis=1, out=lines)
+        value[r0 : r0 + len(block)] = block[np.arange(len(block)), lines]
+    # argmax gives a line of zeros a zero value; with as many nonzeros as
+    # lines in each block, no zero value leaves exactly one per line.
+    if not (value.all() and np.isfinite(value).all()):
+        return None
+    taken = np.zeros(n, bool)
+    taken[index] = True
+    return (index, value) if taken.all() else None
+
+
 def _tile_pairs(m: np.ndarray, w: int):
     """Yield (i0, j0, i_span, j_span) for each pair of column tiles i0 <= j0.
 
@@ -549,15 +596,24 @@ def _tile_pairs(m: np.ndarray, w: int):
 def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """max |M^T M - I| <= tol, over the tiles of M^T M that can be nonzero.
 
-    M^T M is symmetric, so only tiles (i, j) with i <= j are formed, each
-    in one _SIDE x _SIDE buffer: M[R, I]^T M[R, J] over the rows R where
-    both column tiles' spans meet.  An off-diagonal tile whose spans do not
-    meet is an exact sum of zero products and is skipped; a diagonal tile
-    is always formed, over its column tile's span.  A NaN or inf in a
-    column reaches that column's diagonal entry, so it fails, as it fails
-    the whole-matrix maximum, and so does a negative or NaN tol.
+    A signed permutation (see ``_signed_permutation``) is read from its
+    nonzeros s: M^T M is diagonal with entries s * s and exact zeros
+    elsewhere, so the verdict is max |s * s - 1| <= tol, bit for bit.
+
+    Any other matrix is checked tile by tile.  M^T M is symmetric, so only
+    tiles (i, j) with i <= j are formed, each in one _SIDE x _SIDE buffer:
+    M[R, I]^T M[R, J] over the rows R where both column tiles' spans meet.
+    An off-diagonal tile whose spans do not meet is an exact sum of zero
+    products and is skipped; a diagonal tile is always formed, over its
+    column tile's span.  A NaN or inf in a column reaches that column's
+    diagonal entry, so it fails, as it fails the whole-matrix maximum, and
+    so does a negative or NaN tol.
     """
     m = _as_square(matrix)
+    read = _signed_permutation(m)
+    if read is not None:
+        value = read[1]
+        return bool(np.abs(value * value - 1.0).max() <= tol)
     w = min(_SIDE, len(m))
     gram = np.empty(w * w)
     for i0, j0, (i_lo, i_hi), (lo, hi) in _tile_pairs(m, w):
@@ -580,15 +636,27 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
 def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """max |M - M^T| <= tol, comparing tile (i, j) with tile (j, i) for i <= j.
 
-    A pair is skipped when neither tile can hold a nonzero: rows I miss
-    column tile J's span and rows J miss column tile I's span, so both are
-    zero.  Diagonal tiles are always compared, so an infinite diagonal
-    entry fails (inf - inf is NaN), and so does a negative or NaN tol.
-    Both tiles are copied into one buffer of two _SIDE x _SIDE tiles
-    first, so every ufunc works on contiguous memory: given a strided 2-D
-    operand, numpy's ufunc loop allocates a buffer of its own.
+    A signed permutation is read from its nonzeros s: at each, M - M^T is
+    s - mirror, the mirror being the entry at the transposed place, and
+    elsewhere -s (where only the transposed place holds one) or 0 - 0.  So
+    the verdict is max |s - mirror| <= tol, bit for bit.
+
+    Any other matrix is compared tile pair by tile pair.  A pair is skipped
+    when neither tile can hold a nonzero: rows I miss column tile J's span
+    and rows J miss column tile I's span, so both are zero.  Diagonal tiles
+    are always compared, so an infinite diagonal entry fails (inf - inf is
+    NaN), and so does a negative or NaN tol.  Both tiles are copied into
+    one buffer of two _SIDE x _SIDE tiles first, so every ufunc works on
+    contiguous memory: given a strided 2-D operand, numpy's ufunc loop
+    allocates a buffer of its own.
     """
     m = _as_square(matrix)
+    read = _signed_permutation(m)
+    if read is not None:
+        index, value = read
+        paired = index[index] == np.arange(len(m))
+        mirror = np.where(paired, value[index], 0.0)
+        return bool(np.abs(value - mirror).max() <= tol)
     w = min(_SIDE, len(m))
     pair = np.empty((2, w * w))
     for i0, j0, (i_lo, i_hi), (lo, hi) in _tile_pairs(m, w):
@@ -610,11 +678,18 @@ def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
 def check_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """Every entry within tol of 0 or 1, exactly one near-1 per row and column.
 
-    Streams row blocks through one float and one bool tile.  Once every
-    row has exactly one near-1, every column has exactly one iff the rows'
-    near-1 columns are all distinct, which one bool per column records.
+    For 0 <= tol < 1 a signed permutation is read from its nonzeros s: its
+    zeros are near 0 and never near 1, so it passes iff every |s - 1| <=
+    tol.  From tol = 1 on a zero is near 1 too, so there, and for any
+    other matrix, the check streams row blocks through one float and one
+    bool tile.  Once every row has exactly one near-1, every column has
+    exactly one iff the rows' near-1 columns are all distinct, which one
+    bool per column records.
     """
     m = _as_square(matrix)
+    read = _signed_permutation(m) if 0 <= tol < 1 else None
+    if read is not None:
+        return bool(np.abs(read[1] - 1.0).max() <= tol)
     taken = np.zeros(len(m), dtype=bool)
     for _, block, d, one in _row_blocks(m, np.float64, bool):
         np.subtract(block, 1.0, out=d)
@@ -635,12 +710,21 @@ def check_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
 def check_signed_diagonal(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """Diagonal matrix with every diagonal entry within tol of +1 or -1.
 
-    Streams row blocks through one float tile holding |M|, with each
-    diagonal entry d replaced by ||d| - 1| (= min(|d - 1|, |d + 1|)), so a
-    single maximum per tile tests both conditions; a NaN anywhere fails.
+    For 0 <= tol < 1 a signed permutation is read from its nonzeros s: it
+    passes iff every s is on the diagonal with ||s| - 1| <= tol, since an
+    s off it leaves a zero on its row's diagonal, 1 from +-1.  For another
+    tol, or any other matrix, the check streams row blocks through one
+    float tile holding |M|, with each diagonal entry d replaced by
+    ||d| - 1| (= min(|d - 1|, |d + 1|)), so a single maximum per tile tests
+    both conditions; a NaN anywhere fails.
     """
     m = _as_square(matrix)
     n = len(m)
+    read = _signed_permutation(m) if 0 <= tol < 1 else None
+    if read is not None:
+        index, value = read
+        on_diagonal = bool((index == np.arange(n)).all())
+        return on_diagonal and bool(np.abs(np.abs(value) - 1.0).max() <= tol)
     for r0, block, a in _row_blocks(m, np.float64):
         np.abs(block, out=a)
         # a[t, r0 + t] is a's flat entry r0 + t * (n + 1).

@@ -239,6 +239,18 @@ def test_certify_capacity_and_usage(capsys):
         assert "--tolerance" in err, tol
 
 
+def test_oversize_certify_and_sweep_state_their_size_as_a_power_of_two(capsys):
+    # 2**(2**14) and 2**16001 have more digits than int -> str converts.
+    for argv, size in (
+        (["certify", "--n", "14"], "would take 2**61 bytes"),
+        (["sweep", "--n", "8000"], "would hold 2**16001 amplitudes"),
+    ):
+        status, out, err = usage_error(capsys, *argv)
+        assert (status, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith(f"{size}\n"), err
+
+
 def test_sweep_and_trace_refuse_a_bad_tolerance(capsys):
     for argv in (
         ["sweep", "--n", "1", "--tolerance=nan"],

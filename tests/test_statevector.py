@@ -1,5 +1,6 @@
 """State engine vs dense reference: gates, marginals, checks, dumps."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -607,6 +608,10 @@ def test_matrix_checks():
     # NaN off the diagonal fails (NaN > tol is False, so a "> tol" test
     # let it through).
     assert not check_signed_diagonal(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    # One nonzero per line, but 0 * inf = NaN in M^T M, which even tol = inf
+    # does not pass: a non-finite value is never read as a signed permutation.
+    with np.errstate(invalid="ignore"):
+        assert not check_unitary(np.diag([1.0, np.inf]), tol=np.inf)
 
 
 @pytest.mark.parametrize(
@@ -653,18 +658,23 @@ def matrix_check_cases(draw):
     block-diagonal of 2 x 2 blocks (the oracle shape), all zeros, or a
     dense draw, with up to four entries set to drawn values, in C or F
     order or as a strided view.  Entries come from {0, +-1, 1 +- tol/2,
-    1 +- 2 tol, nan, +-inf}.  A negative or NaN tol fails every check.
+    1 +- 2 tol, +-tol/2, nan, +-inf}: dust of +-tol/2 off the support
+    makes a signed permutation read as a general matrix.  A negative or
+    NaN tol fails every check.  From tol = 1 on a zero counts as near 1,
+    so 0.5 and 1.0 sit on either side of the [0, 1) that the permutation
+    and signed-diagonal checks need for their read, and 2.0 beyond it.
     """
     n = draw(st_.integers(1, 70))
-    tol = draw(st_.sampled_from([0.0, 1e-12, 1e-9, -1e-12, np.nan, 1.0]))
-    values = [0.0, 1.0, -1.0, 1 + tol / 2, 1 - tol / 2, 1 + 2 * tol, 1 - 2 * tol,
-              np.nan, np.inf, -np.inf]
+    tol = draw(st_.sampled_from([0.0, 1e-12, 1e-9, -1e-12, np.nan, 0.5, 1.0, 2.0]))
+    finite = [0.0, 1.0, -1.0, 1 + tol / 2, 1 - tol / 2, 1 + 2 * tol, 1 - 2 * tol,
+              tol / 2, -tol / 2]
+    values = finite + [np.nan, np.inf, -np.inf]
     rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
     base = draw(st_.sampled_from(
         ["permutation", "involution", "diagonal", "blocks", "zero", "dense"]
     ))
     if base == "dense":
-        m = rng.choice(values[:7], size=(n, n))
+        m = rng.choice(finite, size=(n, n))
     elif base == "zero":
         m = np.zeros((n, n))
     else:
@@ -713,6 +723,9 @@ def matrix_check_cases(draw):
 @example((np.zeros((4, 4)), -1e-12, 3, 1))  # every tile skipped but the diagonal
 # Unit columns that are not orthogonal: only an off-diagonal tile fails.
 @example((np.array([[1.0, 1.0], [0.0, 0.0]]), 1e-12, 1, 1))
+# Two nonzeros in one row and none in the next, in one row block: at tol 2
+# the read would see a unit row, a zero row and a unit row.
+@example((np.array([[0.0, 1.0, 5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), 2.0, 1, 8))
 def test_streamed_checks_match_whole_matrix_expressions(case):
     m, tol, side, tile = case
     with np.errstate(invalid="ignore", over="ignore"):
@@ -751,14 +764,88 @@ def test_matrix_checks_allocate_one_buffer():
         else:
             inputs = (involution, involution.T, oracle)
         for layout in inputs:
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                assert check(layout)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert peak <= buffer(name, len(layout)) + 8192, (name, len(layout), peak)
+            # Dust beside row 0's 1 passes every check but makes the matrix
+            # no signed permutation, so the dense path runs.
+            dusted = layout.copy(order="K")
+            dusted[0, 1 if layout[0, 0] else 0] = 1e-13
+            for m in (layout, dusted):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    assert check(m)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert peak <= buffer(name, len(m)) + 8192, (name, len(m), peak)
+
+
+def test_certify_matrices_are_read_as_signed_permutations(monkeypatch):
+    # Every oracle matrix certify --n 4 checks, and its transpose, gets its
+    # verdicts from the nonzeros: no tile walk, no float row-block tile.
+    def refuse(*args):
+        raise AssertionError("a signed permutation reached the tile walk")
+
+    f = BooleanFunction(np.random.default_rng(4).integers(0, 2, 16))
+    for kind in OracleKind:
+        matrix = oracle_dense_matrix(kind, f)
+        for layout in (matrix, matrix.T):
+            n = len(layout)
+            with monkeypatch.context() as mp:
+                mp.setattr(statevector, "_tile_pairs", refuse)
+                assert check_unitary(layout) and check_hermitian(layout)
+            tile = min(n, max(1, statevector._TILE // n)) * n * 8
+            for name in ("permutation", "signed-diagonal"):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    verdict = MATRIX_CHECKS[name](layout)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert verdict == (name == kind.structure), (kind, name)
+                assert peak < tile, (kind, name, n, peak)
+
+
+def bent_oracle_matrices(matrix, rng):
+    """An oracle matrix and copies bent as a faulty kernel would bend them.
+
+    One amplitude halved (a halved diagonal entry keeps M self-adjoint),
+    one sign flipped, one swap dropped (its pair left fixed; phase oracles
+    swap nothing) and two columns sent to one row (no longer a
+    permutation).
+    """
+    n = len(matrix)
+    rows = np.argmax(matrix != 0, axis=0)  # column c's one nonzero is row rows[c]
+    c, other = rng.choice(n, 2, replace=False) if n > 1 else (0, 0)
+    yield matrix
+    for scale in (0.5, -1.0):
+        bent = matrix.copy(order="K")
+        bent[rows[c], c] *= scale
+        yield bent
+    swapped = np.flatnonzero(rows != np.arange(n))
+    if swapped.size:
+        bent = matrix.copy(order="K")
+        for col in (swapped[0], rows[swapped[0]]):
+            bent[:, col] = 0.0
+            bent[col, col] = 1.0
+        yield bent
+    bent = matrix.copy(order="K")
+    bent[:, other] = bent[:, c]
+    yield bent
+
+
+def test_checks_match_whole_matrix_verdicts_on_oracle_matrices():
+    rng = np.random.default_rng(21)
+    every = [[(t >> v) & 1 for v in range(1 << n)]
+             for n in (1, 2) for t in range(1 << (1 << n))]
+    tables = every + list(rng.integers(0, 2, (20, 8)))
+    for table in tables:
+        f = BooleanFunction(table)
+        for kind in OracleKind:
+            for bent in bent_oracle_matrices(oracle_dense_matrix(kind, f), rng):
+                for m, tol in itertools.product((bent, bent.T), (0.0, 1e-12)):
+                    got = {name: check(m, tol) for name, check in MATRIX_CHECKS.items()}
+                    assert got == whole_matrix_verdicts(m, tol), (kind, f.table, tol)
 
 
 def test_split_singular_values():
