@@ -34,9 +34,8 @@ Stage references are rebuilt from the key read off the truth table, or
 from the table itself, with parity arithmetic (hadamard_of_key, basis
 kets and Kronecker products), never with the gate kernels under test, so
 a kernel bug cannot cancel out of the comparison.  The comparator is
-phase-sensitive throughout; the up-to-phase variant is used nowhere in
-this module.  Every gate and every closed form here is real, so states
-and references are float64 from start to end.
+phase-sensitive throughout.  Every gate and every closed form here is
+real, so states and references are float64 from start to end.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .bitstring import BitString, basis_e, basis_k
+from .bitstring import BitString
 from .errors import NotDeterministicError
 from .oracles import OracleKind, apply_oracle
 from .statevector import (
@@ -62,7 +61,13 @@ from .statevector import (
     state_delta,
     tensor,  # noqa: F401  not called here; benchmarks/tracing.py swaps it
 )
-from .truthtable import BooleanFunction, bv_function, pi_function
+from .truthtable import (
+    BooleanFunction,
+    bv_function,
+    classical_bv_solve,
+    classical_pi_solve,
+    pi_function,
+)
 
 __all__ = [
     "StageCheck",
@@ -149,18 +154,6 @@ def _kets(signs: str) -> list[np.ndarray]:
     """One single-qubit ket per sign: "+" for |+>, "-" for |->."""
     r = 2.0**-0.5
     return [np.array([r, r if s == "+" else -r]) for s in signs]
-
-
-def _weight1_read_key(f: BooleanFunction) -> BitString:
-    """Key bit j read off the weight-1 probe; raw table reads, not queries."""
-    n = f.arity
-    return BitString.of(int(f.table[basis_e(n, j).to_int()]) for j in range(n))
-
-
-def _complement_read_key(f: BooleanFunction) -> BitString:
-    """Key bit j read off the all-ones-but-j probe; raw table reads."""
-    n = f.arity
-    return BitString.of(int(f.table[basis_k(n, j).to_int()]) for j in range(n))
 
 
 # Closed forms.  Each maps (record, table, expected key) to at most two
@@ -278,20 +271,20 @@ class _Pipeline:
 
 
 _PIPELINES = {
-    "bva": _Pipeline(1, _weight1_read_key, "-", "-", (
+    "bva": _Pipeline(1, classical_bv_solve, "-", "-", (
         (OracleKind.STANDARD_BV, "after-oracle", (("exact", _key_phase),)),
     )),
-    "ccnot-bva": _Pipeline(1, _weight1_read_key, "+-", "+-", (
+    "ccnot-bva": _Pipeline(1, classical_bv_solve, "+-", "+-", (
         (OracleKind.TOFFOLI, "after-flip-oracle", (("exact", _signed_pair),)),
         (OracleKind.PHASE, "after-phase-oracle", (("exact", _key_phase),)),
     )),
-    "pi": _Pipeline(2, _complement_read_key, "-", "-", (
+    "pi": _Pipeline(2, classical_pi_solve, "-", "-", (
         (OracleKind.TWO_REGISTER, "after-oracle", (
             ("exact (pairwise-sign sum)", _pairwise_sign),
             ("exact (factorized product)", _key_phase),
         )),
     )),
-    "single-oracle-bva": _Pipeline(1, _weight1_read_key, "+-", "--", (
+    "single-oracle-bva": _Pipeline(1, classical_bv_solve, "+-", "--", (
         (OracleKind.SINGLE_XOR, "after-oracle", (("exact", _key_phase),)),
     )),
 }
@@ -330,7 +323,8 @@ def _run(
     """Apply one record's circuit, check each stage if asked, and read out."""
     p = _PIPELINES[algorithm]
     n = f.arity
-    key = p.read_key(f) if record_stages else None
+    # A view without counting shares the table, so reading the key is no query.
+    key = p.read_key(BooleanFunction(f.table)) if record_stages else None
     checks: list[StageCheck] = []
     states: dict[str, StateVector] = {}
     for stage, forms, state in _circuit(p, f):

@@ -68,25 +68,14 @@ a zero is near 0 and never near 1.  From tol = 1 on a zero counts as near
 Any other matrix takes the dense path, as does a tol outside [0, 1) in
 the structure checks: a line with two nonzeros (tolerance dust next to a
 1), a zero line, a shared column, a NaN or inf, or a general matrix such
-as H.  There each check streams in one reused buffer with no full-size
-temporary.  A matrix near an oracle's is block-diagonal in 2 x 2 blocks
-but for a few entries, so nearly all of its ``_SIDE`` x ``_SIDE`` tiles
-are zero.
-``check_unitary`` and ``check_hermitian`` first find, for each column
-tile, the span of rows that hold a nonzero (NaN and inf count as
-nonzero), and work only on tiles that can hold one: products of known
-zeros are skipped, as in Gustavson's sparse products (ACM TOMS 4(3),
-1978).  ``check_unitary`` forms the tiles of the upper triangle of M^T M,
-each a product over the rows where both column tiles' spans meet, and
-skips a tile whose spans do not meet.  ``check_hermitian`` compares tile
-(i, j) with its mirror (j, i) unless both are zero.  Both stop at the
-first tile over tol.  Skipping changes no verdict: a skipped Gram entry is
-an exact sum of zero products and a skipped mirror pair is 0 - 0, while
-every diagonal tile is always formed, so a non-finite entry still reaches
-its column's diagonal Gram entry and a negative or NaN tol still fails
-there.  A dense input has full spans and gets one small product per tile:
-on 2 cores a dense 2048 x 2048 ``check_unitary`` took 73 ms in F order
-and 103 ms in C order, where 256-column Gram panels took 53 ms.
+as H; every oracle matrix is read instead.  There each check streams in
+one reused buffer with no full-size temporary.
+``check_unitary`` forms each ``_SIDE`` x ``_SIDE`` tile of the upper
+triangle of M^T M as one product over all rows, and ``check_hermitian``
+compares each tile (i, j) with its mirror (j, i); both stop at the first
+tile over tol.  Every tile is formed, so each verdict is the whole-matrix
+one: the NaN of 0 * inf in M^T M, or of inf - inf in M - M^T, fails it,
+and so does a negative or NaN tol.
 
 ``check_permutation`` and ``check_signed_diagonal`` walk row blocks of at
 most ``_TILE`` entries, of M^T when M is F-ordered, since both conditions
@@ -121,12 +110,9 @@ __all__ = [
     "marginal",
     "measure_certain",
     "certain_outcome",
-    "sample",
     "draw",
     "state_delta",
     "low_factor_bits",
-    "state_close",
-    "state_close_up_to_global_phase",
     "check_unitary",
     "check_hermitian",
     "check_permutation",
@@ -150,9 +136,10 @@ _TILE = 1 << 15
 _RUN = 4
 
 # Side of the square tiles both dense-matrix checks work in.  On 2 cores,
-# per 100 two-register oracle matrices of 512 x 512, check_unitary took
-# 21, 18 and 29 ms with sides 32, 64 and 128, and check_hermitian 20, 19
-# and 26 ms.
+# a dense 2048 x 2048 check_unitary (C order) took 190-245, 114-118 and
+# 76-81 ms with sides 32, 64 and 128, and check_hermitian 11, 14-21 and
+# 22-93 ms.  Oracle matrices are read from their nonzeros and never reach
+# the tiles.
 _SIDE = 64
 
 
@@ -215,9 +202,6 @@ class StateVector:
 
     def copy(self) -> "StateVector":
         return StateVector(self.qubits, self.amps.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
 
 def basis_state(qubits: int, label: BitString) -> StateVector:
@@ -414,14 +398,8 @@ def certain_outcome(probs: np.ndarray, width: int, tol: float = 1e-9) -> BitStri
     return BitString.from_int(width, winner)
 
 
-def sample(state: StateVector, qubits: Sequence[int], seed: int) -> BitString:
-    """Draw one outcome from the marginal with a seeded generator."""
-    sel = list(qubits)
-    return draw(marginal(state, sel), len(sel), seed)
-
-
 def draw(probs: np.ndarray, width: int, seed: int) -> BitString:
-    """sample on an outcome table already computed by marginal."""
+    """One outcome of a marginal's table, drawn with a seeded generator."""
     rng = np.random.default_rng(seed)
     outcome = int(rng.choice(probs.size, p=probs / probs.sum()))
     return BitString.from_int(width, outcome)
@@ -493,22 +471,6 @@ def low_factor_bits(tail: int) -> int:
     return (_TILE.bit_length() - 1 - tail) & ~1
 
 
-def state_close(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
-    """Phase-sensitive comparison: max |a - b| <= tol."""
-    return state_delta(a, b) <= tol
-
-
-def state_close_up_to_global_phase(
-    a: StateVector, b: StateVector, tol: float = 1e-9
-) -> bool:
-    """Comparison modulo one overall factor, which for real states is +-1.
-
-    Never used silently by pipeline checks, which state their comparator.
-    """
-    flipped = StateVector(b.qubits, -b.amps)
-    return min(state_delta(a, b), state_delta(a, flipped)) <= tol
-
-
 def _as_square(matrix: np.ndarray) -> np.ndarray:
     m = _real(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
@@ -539,11 +501,11 @@ def _signed_permutation(m: np.ndarray):
     """(index, value) of each line's one nonzero, if m is a signed permutation.
 
     A line is a row of m, or of m^T when m is F-ordered: one walk of
-    ``_row_blocks`` through one bool tile, filled by the cast that
-    ``_tile_pairs`` uses, so a strided block gets no ufunc buffer.  Line i
-    holds value[i] at column index[i].  None unless every line holds
-    exactly one nonzero (NaN and inf count), no two lines share a column,
-    and every value is finite.
+    ``_row_blocks`` through one bool tile, filled by a cast, which is x != 0
+    for each entry: unlike np.not_equal, np.copyto allocates no buffer for
+    a strided 2-D operand.  Line i holds value[i] at column index[i].  None
+    unless every line holds exactly one nonzero (NaN and inf count), no two
+    lines share a column, and every value is finite.
     """
     n = len(m)
     index = np.empty(n, np.intp)
@@ -564,50 +526,29 @@ def _signed_permutation(m: np.ndarray):
     return (index, value) if taken.all() else None
 
 
-def _tile_pairs(m: np.ndarray, w: int):
-    """Yield (i0, j0, i_span, j_span) for each pair of column tiles i0 <= j0.
+def _tile_pairs(n: int, w: int):
+    """First columns (i0, j0) of each pair of width-w column tiles, i0 <= j0.
 
-    The tiles are m[:, i0 : i0 + w] and m[:, j0 : j0 + w]; pairs come by
-    j0 and then by i0, so (j0, j0) ends each run.  Every nonzero entry of
-    a column tile, NaN and inf included, lies in the rows lo..hi-1 of its
-    span (lo, hi); a tile of zeros has the empty span (0, 0).  Each tile's
-    span is found when the walk reaches it, in one bool tile laid out as m
-    is, so that it reads m in order, and one bool per row, both allocated
-    once per walk.  The tile is filled by a cast, which is x != 0 for each
-    entry: unlike np.not_equal, np.copyto allocates no buffer for a
-    strided 2-D operand.
+    The tiles cover n columns; pairs come by j0 and then by i0, so
+    (j0, j0) ends each run.
     """
-    n = len(m)
-    order = "F" if m.flags.f_contiguous else "C"
-    mask = np.empty(n * w, bool)
-    rows = np.empty(n, bool)
-    spans = []
     for j0 in range(0, n, w):
-        tile = m[:, j0 : j0 + w]
-        nonzero = mask[: tile.size].reshape(tile.shape, order=order)
-        np.copyto(nonzero, tile, casting="unsafe")
-        np.logical_or.reduce(nonzero, axis=1, out=rows)
-        lo = int(rows.argmax())
-        spans.append((lo, n - int(rows[::-1].argmax())) if rows[lo] else (0, 0))
-        for i0, i_span in zip(range(0, j0 + 1, w), spans):
-            yield i0, j0, i_span, spans[-1]
+        for i0 in range(0, j0 + 1, w):
+            yield i0, j0
 
 
 def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M^T M - I| <= tol, over the tiles of M^T M that can be nonzero.
+    """max |M^T M - I| <= tol, over the upper-triangle tiles of M^T M.
 
     A signed permutation (see ``_signed_permutation``) is read from its
     nonzeros s: M^T M is diagonal with entries s * s and exact zeros
     elsewhere, so the verdict is max |s * s - 1| <= tol, bit for bit.
 
     Any other matrix is checked tile by tile.  M^T M is symmetric, so only
-    tiles (i, j) with i <= j are formed, each in one _SIDE x _SIDE buffer:
-    M[R, I]^T M[R, J] over the rows R where both column tiles' spans meet.
-    An off-diagonal tile whose spans do not meet is an exact sum of zero
-    products and is skipped; a diagonal tile is always formed, over its
-    column tile's span.  A NaN or inf in a column reaches that column's
-    diagonal entry, so it fails, as it fails the whole-matrix maximum, and
-    so does a negative or NaN tol.
+    tiles (i, j) with i <= j are formed, each M[:, I]^T M[:, J] over all
+    rows in one _SIDE x _SIDE buffer.  Every such tile is formed, so a NaN,
+    or the 0 * inf = NaN of an infinite entry, fails as it fails the
+    whole-matrix maximum, and so does a negative or NaN tol.
     """
     m = _as_square(matrix)
     read = _signed_permutation(m)
@@ -616,11 +557,8 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
         return bool(np.abs(value * value - 1.0).max() <= tol)
     w = min(_SIDE, len(m))
     gram = np.empty(w * w)
-    for i0, j0, (i_lo, i_hi), (lo, hi) in _tile_pairs(m, w):
-        r0, r1 = max(lo, i_lo), min(hi, i_hi)
-        if r0 >= r1 and i0 < j0:
-            continue
-        left, right = m[r0:r1, i0 : i0 + w], m[r0:r1, j0 : j0 + w]
+    for i0, j0 in _tile_pairs(len(m), w):
+        left, right = m[:, i0 : i0 + w], m[:, j0 : j0 + w]
         k = right.shape[1]
         block = gram[: left.shape[1] * k].reshape(-1, k)
         np.matmul(left.T, right, out=block)
@@ -641,12 +579,10 @@ def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     elsewhere -s (where only the transposed place holds one) or 0 - 0.  So
     the verdict is max |s - mirror| <= tol, bit for bit.
 
-    Any other matrix is compared tile pair by tile pair.  A pair is skipped
-    when neither tile can hold a nonzero: rows I miss column tile J's span
-    and rows J miss column tile I's span, so both are zero.  Diagonal tiles
-    are always compared, so an infinite diagonal entry fails (inf - inf is
-    NaN), and so does a negative or NaN tol.  Both tiles are copied into
-    one buffer of two _SIDE x _SIDE tiles first, so every ufunc works on
+    Any other matrix is compared tile pair by tile pair, every pair of the
+    upper triangle, so an infinite diagonal entry fails (inf - inf is NaN),
+    and so does a negative or NaN tol.  Both tiles are copied into one
+    buffer of two _SIDE x _SIDE tiles first, so every ufunc works on
     contiguous memory: given a strided 2-D operand, numpy's ufunc loop
     allocates a buffer of its own.
     """
@@ -659,11 +595,7 @@ def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
         return bool(np.abs(value - mirror).max() <= tol)
     w = min(_SIDE, len(m))
     pair = np.empty((2, w * w))
-    for i0, j0, (i_lo, i_hi), (lo, hi) in _tile_pairs(m, w):
-        if i0 < j0 and not (lo < i0 + w and i0 < hi) and not (
-            i_lo < j0 + w and j0 < i_hi
-        ):
-            continue
+    for i0, j0 in _tile_pairs(len(m), w):
         upper = m[i0 : i0 + w, j0 : j0 + w]
         a, b = (half[: upper.size].reshape(upper.shape) for half in pair)
         np.copyto(a, upper)
@@ -716,7 +648,8 @@ def check_signed_diagonal(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     tol, or any other matrix, the check streams row blocks through one
     float tile holding |M|, with each diagonal entry d replaced by
     ||d| - 1| (= min(|d - 1|, |d + 1|)), so a single maximum per tile tests
-    both conditions; a NaN anywhere fails.
+    both conditions; a NaN anywhere fails, and so does an infinite d, whose
+    d - d is NaN in the whole-matrix M - diag(d).
     """
     m = _as_square(matrix)
     n = len(m)
@@ -731,7 +664,7 @@ def check_signed_diagonal(matrix: np.ndarray, tol: float = 1e-12) -> bool:
         diagonal = a.reshape(-1)[r0 :: n + 1]
         np.subtract(diagonal, 1.0, out=diagonal)
         np.abs(diagonal, out=diagonal)
-        if not a.max() <= tol:
+        if not (a.max() <= tol and np.isfinite(diagonal).all()):
             return False
     return True
 

@@ -9,7 +9,7 @@ instance so shared functions are not perturbed by bookkeeping reads.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -21,10 +21,8 @@ __all__ = [
     "BooleanFunction",
     "bv_function",
     "pi_function",
-    "two_key_function",
     "classical_bv_solve",
     "classical_pi_solve",
-    "recover_key_if_bv",
     "load_table",
     "dump_table",
 ]
@@ -107,18 +105,8 @@ def bv_function(gamma: BitString) -> BooleanFunction:
 
 def pi_function(gamma: BitString) -> BooleanFunction:
     """f(x) = dot(x XOR gamma, gamma): the key-shifted masked parity."""
-    return two_key_function(gamma, gamma)
-
-
-def two_key_function(gamma: BitString, lam: BitString) -> BooleanFunction:
-    """f(x) = dot(x XOR gamma, lam): shift by one key, mask by another."""
-    if len(gamma) != len(lam):
-        raise DimensionMismatchError(
-            f"key length mismatch: {len(gamma)} vs {len(lam)}"
-        )
     g = np.uint64(gamma.to_int())
-    l = np.uint64(lam.to_int())
-    return BooleanFunction(_parity_of((_indices(len(gamma)) ^ g) & l))
+    return BooleanFunction(_parity_of((_indices(len(gamma)) ^ g) & g))
 
 
 def classical_bv_solve(f: BooleanFunction) -> BitString:
@@ -139,20 +127,6 @@ def classical_pi_solve(f: BooleanFunction) -> BitString:
     """
     n = f.arity
     return BitString(tuple(f.evaluate(basis_k(n, j)) for j in range(n)))
-
-
-def recover_key_if_bv(f: BooleanFunction) -> Optional[BitString]:
-    """Full-table check of the masked-parity promise.
-
-    Reads the candidate key off the unit vectors, then compares all 2**n table
-    entries; returns the key only if the whole table matches.
-    """
-    candidate = BitString(
-        tuple(int(f.table[basis_e(f.arity, j).to_int()]) for j in range(f.arity))
-    )
-    if np.array_equal(f.table, bv_function(candidate).table):
-        return candidate
-    return None
 
 
 def load_table(text: str) -> BooleanFunction:

@@ -19,8 +19,6 @@ from bvlab.truthtable import (
     dump_table,
     load_table,
     pi_function,
-    recover_key_if_bv,
-    two_key_function,
 )
 
 
@@ -40,8 +38,8 @@ def test_table_validation(monkeypatch):
 
 @pytest.mark.parametrize(
     "make",
-    [bv_function, pi_function, lambda g: two_key_function(g, g)],
-    ids=["bv", "pi", "two-key"],
+    [bv_function, pi_function],
+    ids=["bv", "pi"],
 )
 def test_oversize_key_is_refused_before_allocating(make):
     wide = BitString.zeros(MAX_ARITY + 1)
@@ -92,21 +90,6 @@ def test_pi_function_is_shifted_masked_parity():
                 assert f.evaluate(x) == (x ^ gamma).dot(gamma)
 
 
-def test_two_key_function():
-    for gamma in all_bitstrings(2):
-        for lam in all_bitstrings(2):
-            f = two_key_function(gamma, lam)
-            for x in all_bitstrings(2):
-                assert f.evaluate(x) == (x ^ gamma).dot(lam)
-    with pytest.raises(DimensionMismatchError):
-        two_key_function(BitString.parse("1"), BitString.parse("11"))
-
-
-def test_pi_function_equals_two_key_with_same_key():
-    for gamma in all_bitstrings(3):
-        assert pi_function(gamma) == two_key_function(gamma, gamma)
-
-
 def test_classical_bv_solve_exact_queries():
     for n in (1, 2, 3, 4):
         for gamma in all_bitstrings(n):
@@ -131,14 +114,6 @@ def test_probe_points_read_key_bits_directly():
     for j in range(4):
         assert f.evaluate(basis_e(4, j)) == gamma[j]
         assert g.evaluate(basis_k(4, j)) == gamma[j]
-
-
-def test_recover_key_if_bv():
-    gamma = BitString.parse("110")
-    assert recover_key_if_bv(bv_function(gamma)) == gamma
-    assert recover_key_if_bv(BooleanFunction([1, 1, 1, 1])) is None
-    # Shifted parity with an odd-weight key is not a plain masked parity.
-    assert recover_key_if_bv(pi_function(BitString.parse("100"))) is None
 
 
 def test_table_io_roundtrip():
