@@ -40,16 +40,15 @@ from .pipelines import (
     distribution_table,
     run_all,
 )
-from .statevector import (
+from .statevector import check_oracle_matrix, draw, dump_state
+from .truthtable import BooleanFunction, load_table
+# Unused here, but benchmarks/tracing.py swaps these names on this module.
+from .statevector import (  # noqa: F401
     check_hermitian,
     check_permutation,
     check_signed_diagonal,
     check_unitary,
-    draw,
-    dump_state,
 )
-from .truthtable import BooleanFunction, load_table
-# Unused here, but benchmarks/tracing.py swaps these names on this module.
 from .truthtable import bv_function, pi_function  # noqa: F401
 
 __all__ = ["main", "build_parser"]
@@ -241,10 +240,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     doc["kinds"] = {}
     all_passed = True
     for kind in OracleKind:
-        structure_check = {
-            "permutation": check_permutation,
-            "signed-diagonal": check_signed_diagonal,
-        }[kind.structure]
         entry = {
             "qubits": kind.qubit_count(args.n),
             "structure": kind.structure,
@@ -254,12 +249,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
         }
         for f in functions:
             matrix = oracle_dense_matrix(kind, f)
-            if not check_unitary(matrix, tol=args.tolerance):
-                entry["unitary_failures"] += 1
-            if not check_hermitian(matrix, tol=args.tolerance):
-                entry["hermitian_failures"] += 1
-            if not structure_check(matrix, tol=args.tolerance):
-                entry["structure_failures"] += 1
+            unitary, hermitian, structure_ok = check_oracle_matrix(
+                matrix, kind.structure, args.tolerance
+            )
+            entry["unitary_failures"] += not unitary
+            entry["hermitian_failures"] += not hermitian
+            entry["structure_failures"] += not structure_ok
         if (
             entry["unitary_failures"]
             or entry["hermitian_failures"]

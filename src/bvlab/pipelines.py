@@ -324,7 +324,7 @@ def _run(
     p = _PIPELINES[algorithm]
     n = f.arity
     # A view without counting shares the table, so reading the key is no query.
-    key = p.read_key(BooleanFunction(f.table)) if record_stages else None
+    key = p.read_key(f._view(counting=False)) if record_stages else None
     checks: list[StageCheck] = []
     states: dict[str, StateVector] = {}
     for stage, forms, state in _circuit(p, f):

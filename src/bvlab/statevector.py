@@ -52,10 +52,13 @@ such as pi's middle one, are within 1e-14 with bits fixed by ``_TILE``.
 
 The dense-matrix checks read a signed permutation from its nonzeros.
 Every oracle is one: each row and each column of its matrix holds exactly
-one +-1.  Each check first walks the row blocks once, as
-``_signed_permutation``, and when every line (row, or column of an
-F-ordered matrix) holds one finite nonzero s at a distinct column, it
-takes its verdict from those N values: unitary is |s^2 - 1| <= tol,
+one +-1.  ``_signed_permutation`` walks the row blocks once, and when
+every line (row, or column of an F-ordered matrix) holds one finite
+nonzero s at a distinct column, each check takes its verdict from those
+N values.  A check alone reads the matrix once; ``check_oracle_matrix``
+reads it once for its unitary, self-adjoint and structure verdicts
+together, which is how ``certify`` checks each oracle matrix.  Each
+verdict has one formula, shared by both: unitary is |s^2 - 1| <= tol,
 self-adjoint is |s - mirror| <= tol, where a line's mirror is the value
 of the line its column names if that line names it back, else 0.  For
 0 <= tol < 1, permutation is |s - 1| <= tol and signed diagonal is every
@@ -65,11 +68,12 @@ zero, every entry of M - M^T is s - mirror, -s or 0 - 0, and below tol 1
 a zero is near 0 and never near 1.  From tol = 1 on a zero counts as near
 1, so the two structure checks read only below it.
 
-Any other matrix takes the dense path, as does a tol outside [0, 1) in
-the structure checks: a line with two nonzeros (tolerance dust next to a
-1), a zero line, a shared column, a NaN or inf, or a general matrix such
-as H; every oracle matrix is read instead.  There each check streams in
-one reused buffer with no full-size temporary.
+Any other matrix takes the dense paths without a second read, as does a
+tol outside [0, 1) in the structure checks: a line with two nonzeros
+(tolerance dust next to a 1), a zero line, a shared column, a NaN or inf,
+or a general matrix such as H; every oracle matrix is read instead.
+There each check streams in one reused buffer with no full-size
+temporary.
 ``check_unitary`` forms each ``_SIDE`` x ``_SIDE`` tile of the upper
 triangle of M^T M as one product over all rows, and ``check_hermitian``
 compares each tile (i, j) with its mirror (j, i); both stop at the first
@@ -117,6 +121,7 @@ __all__ = [
     "check_hermitian",
     "check_permutation",
     "check_signed_diagonal",
+    "check_oracle_matrix",
     "split_singular_values",
     "dump_state",
     "DUMP_EPS",
@@ -537,24 +542,26 @@ def _tile_pairs(n: int, w: int):
             yield i0, j0
 
 
-def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M^T M - I| <= tol, over the upper-triangle tiles of M^T M.
+def _read_unitary(index: np.ndarray, value: np.ndarray, tol: float) -> bool:
+    return bool(np.abs(value * value - 1.0).max() <= tol)
 
-    A signed permutation (see ``_signed_permutation``) is read from its
-    nonzeros s: M^T M is diagonal with entries s * s and exact zeros
-    elsewhere, so the verdict is max |s * s - 1| <= tol, bit for bit.
 
-    Any other matrix is checked tile by tile.  M^T M is symmetric, so only
-    tiles (i, j) with i <= j are formed, each M[:, I]^T M[:, J] over all
-    rows in one _SIDE x _SIDE buffer.  Every such tile is formed, so a NaN,
-    or the 0 * inf = NaN of an infinite entry, fails as it fails the
-    whole-matrix maximum, and so does a negative or NaN tol.
-    """
-    m = _as_square(matrix)
-    read = _signed_permutation(m)
-    if read is not None:
-        value = read[1]
-        return bool(np.abs(value * value - 1.0).max() <= tol)
+def _read_hermitian(index: np.ndarray, value: np.ndarray, tol: float) -> bool:
+    paired = index[index] == np.arange(len(index))
+    mirror = np.where(paired, value[index], 0.0)
+    return bool(np.abs(value - mirror).max() <= tol)
+
+
+def _read_permutation(index: np.ndarray, value: np.ndarray, tol: float) -> bool:
+    return bool(np.abs(value - 1.0).max() <= tol)
+
+
+def _read_signed_diagonal(index: np.ndarray, value: np.ndarray, tol: float) -> bool:
+    on_diagonal = bool((index == np.arange(len(index))).all())
+    return on_diagonal and bool(np.abs(np.abs(value) - 1.0).max() <= tol)
+
+
+def _dense_unitary(m: np.ndarray, tol: float) -> bool:
     w = min(_SIDE, len(m))
     gram = np.empty(w * w)
     for i0, j0 in _tile_pairs(len(m), w):
@@ -571,28 +578,7 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     return True
 
 
-def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M - M^T| <= tol, comparing tile (i, j) with tile (j, i) for i <= j.
-
-    A signed permutation is read from its nonzeros s: at each, M - M^T is
-    s - mirror, the mirror being the entry at the transposed place, and
-    elsewhere -s (where only the transposed place holds one) or 0 - 0.  So
-    the verdict is max |s - mirror| <= tol, bit for bit.
-
-    Any other matrix is compared tile pair by tile pair, every pair of the
-    upper triangle, so an infinite diagonal entry fails (inf - inf is NaN),
-    and so does a negative or NaN tol.  Both tiles are copied into one
-    buffer of two _SIDE x _SIDE tiles first, so every ufunc works on
-    contiguous memory: given a strided 2-D operand, numpy's ufunc loop
-    allocates a buffer of its own.
-    """
-    m = _as_square(matrix)
-    read = _signed_permutation(m)
-    if read is not None:
-        index, value = read
-        paired = index[index] == np.arange(len(m))
-        mirror = np.where(paired, value[index], 0.0)
-        return bool(np.abs(value - mirror).max() <= tol)
+def _dense_hermitian(m: np.ndarray, tol: float) -> bool:
     w = min(_SIDE, len(m))
     pair = np.empty((2, w * w))
     for i0, j0 in _tile_pairs(len(m), w):
@@ -607,21 +593,7 @@ def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     return True
 
 
-def check_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """Every entry within tol of 0 or 1, exactly one near-1 per row and column.
-
-    For 0 <= tol < 1 a signed permutation is read from its nonzeros s: its
-    zeros are near 0 and never near 1, so it passes iff every |s - 1| <=
-    tol.  From tol = 1 on a zero is near 1 too, so there, and for any
-    other matrix, the check streams row blocks through one float and one
-    bool tile.  Once every row has exactly one near-1, every column has
-    exactly one iff the rows' near-1 columns are all distinct, which one
-    bool per column records.
-    """
-    m = _as_square(matrix)
-    read = _signed_permutation(m) if 0 <= tol < 1 else None
-    if read is not None:
-        return bool(np.abs(read[1] - 1.0).max() <= tol)
+def _dense_permutation(m: np.ndarray, tol: float) -> bool:
     taken = np.zeros(len(m), dtype=bool)
     for _, block, d, one in _row_blocks(m, np.float64, bool):
         np.subtract(block, 1.0, out=d)
@@ -639,6 +611,95 @@ def check_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(taken.all())
 
 
+def _dense_signed_diagonal(m: np.ndarray, tol: float) -> bool:
+    n = len(m)
+    for r0, block, a in _row_blocks(m, np.float64):
+        np.abs(block, out=a)
+        # a[t, r0 + t] is a's flat entry r0 + t * (n + 1).
+        diagonal = a.reshape(-1)[r0 :: n + 1]
+        np.subtract(diagonal, 1.0, out=diagonal)
+        np.abs(diagonal, out=diagonal)
+        if not (a.max() <= tol and np.isfinite(diagonal).all()):
+            return False
+    return True
+
+
+# Each check by name: its verdict from a signed-permutation read, its dense
+# verdict, and whether it may read at every tol.  From tol = 1 on a zero
+# counts as near 1, so the two structure checks read only for 0 <= tol < 1.
+_CHECKS = {
+    "unitary": (_read_unitary, _dense_unitary, True),
+    "hermitian": (_read_hermitian, _dense_hermitian, True),
+    "permutation": (_read_permutation, _dense_permutation, False),
+    "signed-diagonal": (_read_signed_diagonal, _dense_signed_diagonal, False),
+}
+
+
+def _verdicts(matrix: np.ndarray, tol: float, names: Sequence[str]) -> tuple[bool, ...]:
+    """The named checks on one matrix, all from at most one read of it.
+
+    The matrix is read once if any check may use the read; a check that
+    may not, or a matrix that is no signed permutation, goes to its dense
+    path with no second read.
+    """
+    m = _as_square(matrix)
+    checks = [_CHECKS[name] for name in names]
+    may_read = [always or 0 <= tol < 1 for _, _, always in checks]
+    read = _signed_permutation(m) if any(may_read) else None
+    return tuple(
+        read_ok(*read, tol) if read is not None and may else dense_ok(m, tol)
+        for (read_ok, dense_ok, _), may in zip(checks, may_read)
+    )
+
+
+def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
+    """max |M^T M - I| <= tol, over the upper-triangle tiles of M^T M.
+
+    A signed permutation (see ``_signed_permutation``) is read from its
+    nonzeros s: M^T M is diagonal with entries s * s and exact zeros
+    elsewhere, so the verdict is max |s * s - 1| <= tol, bit for bit.
+
+    Any other matrix is checked tile by tile.  M^T M is symmetric, so only
+    tiles (i, j) with i <= j are formed, each M[:, I]^T M[:, J] over all
+    rows in one _SIDE x _SIDE buffer.  Every such tile is formed, so a NaN,
+    or the 0 * inf = NaN of an infinite entry, fails as it fails the
+    whole-matrix maximum, and so does a negative or NaN tol.
+    """
+    return _verdicts(matrix, tol, ("unitary",))[0]
+
+
+def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
+    """max |M - M^T| <= tol, comparing tile (i, j) with tile (j, i) for i <= j.
+
+    A signed permutation is read from its nonzeros s: at each, M - M^T is
+    s - mirror, the mirror being the entry at the transposed place, and
+    elsewhere -s (where only the transposed place holds one) or 0 - 0.  So
+    the verdict is max |s - mirror| <= tol, bit for bit.
+
+    Any other matrix is compared tile pair by tile pair, every pair of the
+    upper triangle, so an infinite diagonal entry fails (inf - inf is NaN),
+    and so does a negative or NaN tol.  Both tiles are copied into one
+    buffer of two _SIDE x _SIDE tiles first, so every ufunc works on
+    contiguous memory: given a strided 2-D operand, numpy's ufunc loop
+    allocates a buffer of its own.
+    """
+    return _verdicts(matrix, tol, ("hermitian",))[0]
+
+
+def check_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
+    """Every entry within tol of 0 or 1, exactly one near-1 per row and column.
+
+    For 0 <= tol < 1 a signed permutation is read from its nonzeros s: its
+    zeros are near 0 and never near 1, so it passes iff every |s - 1| <=
+    tol.  From tol = 1 on a zero is near 1 too, so there, and for any
+    other matrix, the check streams row blocks through one float and one
+    bool tile.  Once every row has exactly one near-1, every column has
+    exactly one iff the rows' near-1 columns are all distinct, which one
+    bool per column records.
+    """
+    return _verdicts(matrix, tol, ("permutation",))[0]
+
+
 def check_signed_diagonal(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """Diagonal matrix with every diagonal entry within tol of +1 or -1.
 
@@ -651,22 +712,23 @@ def check_signed_diagonal(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     both conditions; a NaN anywhere fails, and so does an infinite d, whose
     d - d is NaN in the whole-matrix M - diag(d).
     """
-    m = _as_square(matrix)
-    n = len(m)
-    read = _signed_permutation(m) if 0 <= tol < 1 else None
-    if read is not None:
-        index, value = read
-        on_diagonal = bool((index == np.arange(n)).all())
-        return on_diagonal and bool(np.abs(np.abs(value) - 1.0).max() <= tol)
-    for r0, block, a in _row_blocks(m, np.float64):
-        np.abs(block, out=a)
-        # a[t, r0 + t] is a's flat entry r0 + t * (n + 1).
-        diagonal = a.reshape(-1)[r0 :: n + 1]
-        np.subtract(diagonal, 1.0, out=diagonal)
-        np.abs(diagonal, out=diagonal)
-        if not (a.max() <= tol and np.isfinite(diagonal).all()):
-            return False
-    return True
+    return _verdicts(matrix, tol, ("signed-diagonal",))[0]
+
+
+def check_oracle_matrix(
+    matrix: np.ndarray, structure: str, tol: float = 1e-12
+) -> tuple[bool, bool, bool]:
+    """(unitary, self-adjoint, structure) verdicts from one read of the matrix.
+
+    ``structure`` is "permutation" or "signed-diagonal".  Each verdict is
+    the one its own check gives, but the matrix is scanned for a signed
+    permutation once for all three; a matrix that is none, and the
+    structure verdict at a tol outside [0, 1), take the dense paths without
+    a second scan.
+    """
+    if structure not in ("permutation", "signed-diagonal"):
+        raise ValueError(f"unknown structure {structure!r}")
+    return _verdicts(matrix, tol, ("unitary", "hermitian", structure))
 
 
 def split_singular_values(state: StateVector, left_qubits: int) -> np.ndarray:

@@ -84,7 +84,14 @@ class BooleanFunction:
 
     def with_counting(self) -> "BooleanFunction":
         """Fresh counting-enabled view sharing this table."""
-        return BooleanFunction(self.table, counting=True)
+        return self._view(counting=True)
+
+    def _view(self, counting: bool) -> "BooleanFunction":
+        """A fresh view sharing this table, which is not checked again."""
+        view = object.__new__(BooleanFunction)
+        view.arity, view.table = self.arity, self.table
+        view.counting, view.query_count = counting, 0
+        return view
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BooleanFunction):

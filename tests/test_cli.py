@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bvlab import cli
+from bvlab import cli, statevector
 from bvlab.bitstring import BitString
 from bvlab.oracles import OracleKind
 from bvlab.truthtable import bv_function, dump_table, pi_function
@@ -278,6 +278,35 @@ def test_certify_tamper_hook_is_caught(capsys, monkeypatch):
     broken = doc["kinds"]["two-register"]
     assert broken["unitary_failures"] == 4  # every function's matrix was bent
     assert doc["kinds"]["toffoli"]["unitary_failures"] == 0
+
+
+@pytest.mark.parametrize("bend", [False, True])
+def test_certify_reads_each_oracle_matrix_once(capsys, monkeypatch, bend):
+    # One signed-permutation read per matrix gives all three verdicts.  A
+    # bent two-register matrix is no signed permutation, so its verdicts
+    # come from the dense paths, with no second read.
+    monkeypatch.setattr(cli, "CERTIFY_RANDOM_COUNT", 5)
+    read = statevector._signed_permutation
+    reads = []
+
+    def counted(m):
+        reads.append(len(m))
+        return read(m)
+
+    monkeypatch.setattr(statevector, "_signed_permutation", counted)
+    dense = cli.oracle_dense_matrix
+
+    def bent(kind, f):
+        matrix = dense(kind, f)
+        if bend and kind is OracleKind.TWO_REGISTER:
+            matrix[0, 1] = 1.0 - matrix[0, 1]
+        return matrix
+
+    monkeypatch.setattr(cli, "oracle_dense_matrix", bent)
+    status, doc = run_json(capsys, "certify", "--n", "4")
+    assert len(reads) == 25
+    assert status == (1 if bend else 0)
+    assert doc["kinds"]["two-register"]["unitary_failures"] == (5 if bend else 0)
 
 
 @pytest.mark.parametrize("row, col, value", [(0, 511, 1.0), (511, 0, float("nan"))])

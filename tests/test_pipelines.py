@@ -176,6 +176,20 @@ def test_pipeline_queries_leave_classical_counter_alone():
     assert f.query_count == 0  # oracles read the table, never evaluate
 
 
+def test_recorded_run_reads_the_key_without_checking_the_table_again(monkeypatch):
+    # f was checked when it was built; the key's non-counting view shares
+    # its table and builds no BooleanFunction, so no table scan repeats.
+    f = pi_function(BitString.parse("1011")).with_counting()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a recorded run built a BooleanFunction")
+
+    monkeypatch.setattr(BooleanFunction, "__init__", refuse)
+    report = run_pi(f)
+    assert report.recovered == BitString.parse("1011") and report.stages_ok()
+    assert f.query_count == 0
+
+
 def test_middle_register_collapses_to_key():
     for n in (1, 2, 3):
         for gamma in all_bitstrings(n):

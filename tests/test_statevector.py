@@ -25,6 +25,7 @@ from bvlab.statevector import (
     basis_state,
     certain_outcome,
     check_hermitian,
+    check_oracle_matrix,
     check_permutation,
     check_signed_diagonal,
     check_unitary,
@@ -731,6 +732,36 @@ def test_streamed_checks_match_whole_matrix_expressions(case):
     assert got == expected
 
 
+def oracle_matrix_verdicts(expected, structure):
+    """check_oracle_matrix's triple, from the whole-matrix verdicts."""
+    return expected["unitary"], expected["hermitian"], expected[structure]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_check_cases(), st_.sampled_from(["permutation", "signed-diagonal"]))
+# A permutation that is not diagonal at tol 1 and inf: a zero counts as
+# near 1, so the permutation verdict is False and the signed-diagonal one
+# True, where the read would say the opposite.  Both must take the dense path.
+@example((np.eye(3)[[1, 0, 2]], 1.0, 1, 1), "permutation")
+@example((np.eye(3)[[1, 0, 2]], 1.0, 3, 8), "signed-diagonal")
+@example((np.eye(3)[[1, 0, 2]], np.inf, 1, 1), "permutation")
+@example((np.eye(3)[[1, 0, 2]], np.inf, 3, 8), "signed-diagonal")
+def test_oracle_matrix_check_matches_whole_matrix_expressions(case, structure):
+    m, tol, side, tile = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = whole_matrix_verdicts(m, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statevector, "_SIDE", side)
+            mp.setattr(statevector, "_TILE", tile)
+            got = check_oracle_matrix(m, structure, tol)
+    assert got == oracle_matrix_verdicts(expected, structure)
+
+
+def test_oracle_matrix_check_refuses_an_unknown_structure():
+    with pytest.raises(ValueError, match="unitary"):
+        check_oracle_matrix(np.eye(2), "unitary")
+
+
 def test_matrix_checks_allocate_one_buffer():
     n = 1024
     swapped = np.arange(n) ^ (np.arange(n) < n // 2)  # pairs swapped, rest fixed
@@ -755,8 +786,18 @@ def test_matrix_checks_allocate_one_buffer():
             "signed-diagonal": rows * size * 8,
         }[name]
 
-    for name, check in MATRIX_CHECKS.items():
-        if name == "signed-diagonal":
+    def combined(structure):
+        # All three verdicts in one call, which holds one check's buffers
+        # at a time.
+        return lambda m: all(check_oracle_matrix(m, structure))
+
+    checks = list(MATRIX_CHECKS.items()) + [
+        (("unitary", "hermitian", s), combined(s))
+        for s in ("permutation", "signed-diagonal")
+    ]
+    for name, check in checks:
+        names = name if isinstance(name, tuple) else (name,)
+        if names[-1] == "signed-diagonal":
             inputs = (signed, signed.T)
         else:
             inputs = (involution, involution.T, oracle)
@@ -773,7 +814,8 @@ def test_matrix_checks_allocate_one_buffer():
                     peak = tracemalloc.get_traced_memory()[1] - base
                 finally:
                     tracemalloc.stop()
-                assert peak <= buffer(name, len(m)) + 8192, (name, len(m), peak)
+                bound = max(buffer(each, len(m)) for each in names)
+                assert peak <= bound + 8192, (name, len(m), peak)
 
 
 def test_certify_matrices_are_read_as_signed_permutations(monkeypatch):
@@ -790,6 +832,7 @@ def test_certify_matrices_are_read_as_signed_permutations(monkeypatch):
             with monkeypatch.context() as mp:
                 mp.setattr(statevector, "_tile_pairs", refuse)
                 assert check_unitary(layout) and check_hermitian(layout)
+                assert check_oracle_matrix(layout, kind.structure) == (True,) * 3
             tile = min(n, max(1, statevector._TILE // n)) * n * 8
             for name in ("permutation", "signed-diagonal"):
                 tracemalloc.start()
@@ -842,7 +885,11 @@ def test_checks_match_whole_matrix_verdicts_on_oracle_matrices():
             for bent in bent_oracle_matrices(oracle_dense_matrix(kind, f), rng):
                 for m, tol in itertools.product((bent, bent.T), (0.0, 1e-12)):
                     got = {name: check(m, tol) for name, check in MATRIX_CHECKS.items()}
-                    assert got == whole_matrix_verdicts(m, tol), (kind, f.table, tol)
+                    expected = whole_matrix_verdicts(m, tol)
+                    assert got == expected, (kind, f.table, tol)
+                    assert check_oracle_matrix(m, kind.structure, tol) == (
+                        oracle_matrix_verdicts(expected, kind.structure)
+                    ), (kind, f.table, tol)
 
 
 def test_split_singular_values():
