@@ -13,8 +13,11 @@ hold), 2 usage or capacity error.  Identical invocations with identical
 seeds produce byte-identical documents; reports default to JSON, and
 ``--format text`` renders fixed-width tables instead.
 
-Environment: BVLAB_THREADS, which caps sweep workers, is the only
-variable read.
+Environment: BVLAB_THREADS is the only variable read.  It caps sweep's
+workers and the workers that split each Hadamard layer and stage compare
+on states of 2**21 or more amplitudes; both counts are also capped by the
+usable CPUs, and no document depends on them.  Every command refuses a
+value that is not a positive integer with exit 2.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .pipelines import (
     distribution_table,
     run_all,
 )
-from .statevector import check_oracle_matrix, draw, dump_state
+from .statevector import _worker_count, check_oracle_matrix, draw, dump_state
 from .truthtable import BooleanFunction, load_table
 # Unused here, but benchmarks/tracing.py swaps these names on this module.
 from .statevector import (  # noqa: F401
@@ -272,13 +275,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _sweep_workers(jobs: int) -> int:
-    workers = min(jobs, os.cpu_count() or 1)
-    cap_text = os.environ.get("BVLAB_THREADS")
-    if cap_text:
-        if not cap_text.isdigit() or int(cap_text) < 1:
-            raise ValueError("BVLAB_THREADS must be a positive integer")
-        workers = min(workers, int(cap_text))
-    return max(1, workers)
+    return min(jobs, _worker_count())
 
 
 def _sweep_text(doc: dict) -> str:
@@ -308,11 +305,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweep n={args.n} exceeds cap {args.cap}; the {qubits}-qubit "
             f"pipeline would hold 2**{qubits} amplitudes"
         )
-    try:
-        workers = _sweep_workers(1 << args.n)
-    except ValueError as err:
-        return _usage_error(str(err))
-
+    workers = _sweep_workers(1 << args.n)
     keys = list(all_bitstrings(args.n))
 
     def sweep_one(gamma: BitString) -> list[RunReport]:
@@ -508,6 +501,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _usage_error(
             f"--tolerance must be finite and >= 0, got {args.tolerance}"
         )
+    try:
+        _worker_count()
+    except ValueError as err:
+        return _usage_error(str(err))
     if args.output is not None:
         problem = _output_problem(args.output)
         if problem is not None:

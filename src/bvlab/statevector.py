@@ -29,15 +29,15 @@ and rotates it below the other bits, so the next group is on top: a
 constant-geometry transform with no transposed copy (Pease 1968).  After
 the last group every bit is back in place.  Products alternate between the
 block and the tile buffer, and an odd group count ends with one copy of
-the tile into the block.  The layer allocates that one tile and nothing
-else of size.
+the tile into the block.  The layer allocates one tile per worker and
+nothing else of size.
 
 Accuracy invariant: a product sums up to 2**g terms per amplitude where a
 per-qubit sweep does g rounded butterflies, so results are not the
 sweep's bits; every amplitude stays within 1e-14 of that sweep.  The bits
-are fixed for a given ``_TILE``: the same on every run and under any BLAS
-or caller thread count.  ``_TILE`` sets the split and the shape of every
-product, so changing it may change the last bits.
+are fixed for a given ``_TILE``: the same on every run and under any
+BLAS, caller or worker thread count.  ``_TILE`` sets the split and the
+shape of every product, so changing it may change the last bits.
 
 ``state_delta`` streams the same way: it compares a state with a lazy
 left Kronecker fold of factor states, building each ``_TILE`` chunk of
@@ -49,6 +49,18 @@ A top register (qubits 0..k-1) whose rows of 2**(m-k) amplitudes fit in
 a tile keeps the bits of a whole-array row sum, which covers the read-out
 of every pipeline's first register up to pi at n = 14; other registers,
 such as pi's middle one, are within 1e-14 with bits fixed by ``_TILE``.
+
+Split walks: from ``_SPLIT`` amplitudes on, each top run's column chunks,
+the bottom phase's tiles and ``state_delta``'s chunks are cut into one
+contiguous part per worker, min(usable CPUs, BVLAB_THREADS) and at most
+one per tile.  The caller allocates every part's buffers, runs part 0
+itself and hands the rest to one shared pool, created on first use, then
+waits for them before the next walk.  A chunk is the same product or
+ufunc call on the same shapes whichever thread runs it, so no bit depends
+on the worker count.  Smaller states, such as sweep's at n = 8 (17
+qubits at most), walk in one part on the caller.  ``marginal`` adds its
+chunks into the outcome table in order, so it and the oracle kernels
+stay serial.
 
 The dense-matrix checks read a signed permutation from its nonzeros.
 Every oracle is one: each row and each column of its matrix holds exactly
@@ -97,6 +109,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,6 +153,14 @@ _TILE = 1 << 15
 # and 29 ms with 4 and 0.51, 5.6 and 31 ms with 3, so neither wins at
 # every size; 5 took 1.0, 8.4-11 and 44-49 ms.
 _RUN = 4
+
+# Fewest amplitudes whose tile walks are split between workers.  On 2
+# cores, split in two, a full layer at 17, 18, 20 and 22 qubits took
+# 0.19 -> 0.21, 0.38 -> 0.23, 1.9 -> 1.1 and 11 -> 6.0 ms, and a
+# two-factor state_delta at 20 and 22 qubits 0.80 -> 0.64 and 4.1 ->
+# 2.7 ms.  Each worker holds its own tiles, two of them in state_delta,
+# so the split starts where those are at most 1/32 of the state.
+_SPLIT = 1 << 21
 
 # Side of the square tiles both dense-matrix checks work in.  On 2 cores,
 # a dense 2048 x 2048 check_unitary (C order) took 190-245, 114-118 and
@@ -235,6 +257,68 @@ def _check_qubits(state: StateVector, qubits: Sequence[int]) -> list[int]:
     return sel
 
 
+def _worker_count() -> int:
+    """Usable CPUs, capped by BVLAB_THREADS when it is set and not empty.
+
+    ValueError naming the variable unless it is a positive integer.  The
+    CLI's sweep workers and the tile walks' parts both come from here.
+    """
+    count = _usable_cpus()
+    cap = os.environ.get("BVLAB_THREADS")
+    if cap:
+        if not cap.isdecimal() or int(cap) < 1:
+            raise ValueError("BVLAB_THREADS must be a positive integer")
+        count = min(count, int(cap))
+    return count
+
+
+def _usable_cpus() -> int:
+    """The process's CPU affinity set where the OS has one, else os.cpu_count().
+
+    A cpuset-limited container has fewer usable CPUs than the host's cores,
+    which is what os.cpu_count() reports.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
+def _parts(amplitudes: int) -> int:
+    """Workers for the tile walks over a state of this many amplitudes.
+
+    One below ``_SPLIT``, else ``_worker_count()`` up to one per tile.
+    """
+    tiles = amplitudes // _TILE
+    if amplitudes < _SPLIT or tiles < 2:
+        return 1
+    return min(_worker_count(), tiles)
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The split walks' shared pool: a thread per usable CPU but one."""
+    return ThreadPoolExecutor(max(1, _usable_cpus() - 1))
+
+
+def _walk(count: int, step, buffers: Sequence) -> None:
+    """step(lo, hi, buffer) over [0, count) in one contiguous part per buffer.
+
+    Part 0 runs on the caller and the others on ``_pool()``, created on
+    first use; returns once every part has.
+    """
+    parts = len(buffers)
+    bounds = [count * p // parts for p in range(parts + 1)]
+    futures = [
+        _pool().submit(step, bounds[p], bounds[p + 1], buffers[p])
+        for p in range(1, parts)
+    ]
+    try:
+        step(bounds[0], bounds[1], buffers[0])
+    finally:
+        for future in futures:
+            future.result()
+
+
 def _runs(bits: Sequence[int]) -> list[tuple[int, int]]:
     """(first bit, length) of each run of up to _RUN consecutive bits."""
     runs: list[tuple[int, int]] = []
@@ -259,16 +343,12 @@ def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVect
     # A tile of at least 2**_RUN amplitudes gives every top chunk a column.
     a = max(0, m - max(_TILE.bit_length() - 1, _RUN))
     size = 1 << (m - a)
-    tile = np.empty(size)
+    tiles = [np.empty(size) for _ in range(_parts(amps.size))]
+    # Each top run and the bottom phase walk the same 2**a chunks or tiles.
     for k, g in _runs([q for q in order if q < a]):
         view = amps.reshape(1 << k, 1 << g, -1)
-        out = tile.reshape(1 << g, -1)
-        block, w = _block((True,) * g), out.shape[1]
-        for i in range(1 << k):
-            for s in range(0, view.shape[2], w):
-                chunk = view[i, :, s : s + w]
-                np.matmul(block, chunk, out=out)
-                np.copyto(chunk, out)
+        step = functools.partial(_top_chunks, view, _block((True,) * g))
+        _walk(1 << a, step, tiles)
     if not order or order[-1] < a:
         return state
     listed = set(order)
@@ -276,7 +356,26 @@ def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVect
         _block(tuple(q in listed for q in range(lo, min(lo + _RUN, m))))
         for lo in range(a, m, _RUN)
     ]
-    for start in range(0, amps.size, size):
+    _walk(1 << a, functools.partial(_bottom_tiles, amps, blocks), tiles)
+    return state
+
+
+def _top_chunks(view: np.ndarray, block: np.ndarray, lo: int, hi: int, tile) -> None:
+    """Column chunks lo..hi-1 of one top run's (2**k, 2**g, rest) view."""
+    out = tile.reshape(len(block), -1)
+    w = out.shape[1]
+    per = view.shape[2] // w
+    for c in range(lo, hi):
+        s = c % per * w
+        chunk = view[c // per, :, s : s + w]
+        np.matmul(block, chunk, out=out)
+        np.copyto(chunk, out)
+
+
+def _bottom_tiles(amps: np.ndarray, blocks, lo: int, hi: int, tile) -> None:
+    """The bottom phase on blocks lo..hi-1 of tile.size amplitudes each."""
+    size = tile.size
+    for start in range(lo * size, hi * size, size):
         home = amps[start : start + size]
         src = home
         for block in blocks:
@@ -286,7 +385,6 @@ def apply_hadamard_layer(state: StateVector, qubits: Sequence[int]) -> StateVect
             src = dst
         if src is tile:
             np.copyto(home, tile)
-    return state
 
 
 def hadamard_of_key(n: int, gamma: BitString) -> StateVector:
@@ -416,9 +514,10 @@ def state_delta(a: StateVector, *factors: StateVector) -> float:
     F = factors[0] (x) factors[1] (x) ..., the first factor's qubits most
     significant; with one factor this is the plain comparison.  F is never
     built whole.  For each ``_TILE`` chunk of a, that chunk of F is built
-    in two tile buffers, each amplitude being ((f0[i0] * f1[i1]) * f2[i2])
-    ..., the product np.kron's fold computes, so every |a - F| and the
-    maximum are the same bits as against the whole fold.  A NaN gives NaN.
+    in two tile buffers (two per worker on a split state), each amplitude
+    being ((f0[i0] * f1[i1]) * f2[i2]) ..., the product np.kron's fold
+    computes, so every |a - F| and the maximum are the same bits as
+    against the whole fold.  A NaN gives NaN.
     """
     qubits = sum(f.qubits for f in factors)
     if qubits != a.qubits:
@@ -426,14 +525,26 @@ def state_delta(a: StateVector, *factors: StateVector) -> float:
             f"qubit count mismatch: {a.qubits} vs {qubits}"
         )
     size = min(_TILE, a.amps.size)
-    bufs = (np.empty(size), np.empty(size))
     peaks = np.empty(a.amps.size // size)
-    for j in range(peaks.size):
+    buffers = [
+        (np.empty(size), np.empty(size)) for _ in range(_parts(a.amps.size))
+    ]
+    step = functools.partial(_compare_chunks, a.amps, factors, peaks)
+    _walk(peaks.size, step, buffers)
+    return float(peaks.max())
+
+
+def _compare_chunks(
+    whole: np.ndarray, factors, peaks: np.ndarray, lo: int, hi: int, bufs
+) -> None:
+    """state_delta's peaks[lo:hi], chunk j being whole[j * size:][:size]."""
+    size = bufs[0].size
+    for j in range(lo, hi):
         start = j * size
         # cur is this chunk's part of the fold so far: None before the first
         # factor, a scalar while each factor index is constant on the chunk,
         # then an array that grows to the whole chunk.
-        cur, k, stride = None, 0, a.amps.size
+        cur, k, stride = None, 0, whole.size
         for f in factors:
             amps = f.amps
             stride //= amps.size  # amplitudes of F per step of this index
@@ -460,10 +571,9 @@ def state_delta(a: StateVector, *factors: StateVector) -> float:
                         np.multiply(v, amps, out=out[r])
                 cur = out.reshape(-1)
         diff = bufs[k]
-        np.subtract(a.amps[start : start + size], cur, out=diff)
+        np.subtract(whole[start : start + size], cur, out=diff)
         np.abs(diff, out=diff)
         peaks[j] = diff.max()
-    return float(peaks.max())
 
 
 def low_factor_bits(tail: int) -> int:

@@ -1,6 +1,8 @@
 """Front-end contract: flags, exit codes, documents, determinism."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -361,8 +363,86 @@ def test_sweep_thread_env(capsys, monkeypatch):
         status, threaded = run_cli(capsys, "sweep", "--n", n)
         assert status == 0
         assert serial == threaded, n
+    # With the split size lowered to 17 qubits, both sweep workers split
+    # their layers and compares on the shared pool.
+    monkeypatch.setattr(statevector, "_SPLIT", 1 << 17)
+    monkeypatch.setattr(statevector, "_usable_cpus", lambda: 2)
+    walk, parts = statevector._walk, []
+
+    def spy(count, step, buffers):
+        parts.append(len(buffers))
+        walk(count, step, buffers)
+
+    monkeypatch.setattr(statevector, "_walk", spy)
+    documents = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BVLAB_THREADS", threads)
+        parts.clear()
+        status, out = run_cli(capsys, "sweep", "--n", "8")
+        assert status == 0
+        documents.append(out)
+        assert max(parts) == int(threads)
+    assert documents[0] == documents[1]
     monkeypatch.setenv("BVLAB_THREADS", "zero")
     assert run_cli(capsys, "sweep", "--n", "2")[0] == 2
+
+
+@pytest.mark.parametrize("value", ["zero", "0", "-2", "1.5"])
+def test_bad_thread_env_is_a_usage_error_on_every_command(capsys, monkeypatch, value):
+    monkeypatch.setenv("BVLAB_THREADS", value)
+    for argv in (
+        ("run", "--algorithm", "bva", "--gamma", "101"),
+        ("trace", "--algorithm", "pi", "--gamma", "1"),
+        ("sweep", "--n", "2"),
+        ("certify", "--n", "1"),
+    ):
+        status, out, err = usage_error(capsys, *argv)
+        assert (status, out) == (2, ""), argv
+        assert "BVLAB_THREADS" in err and "Traceback" not in err, argv
+
+
+def test_sweep_workers_count_usable_cpus(capsys, monkeypatch):
+    # A cpuset-limited container: os.cpu_count() is the host's 64 cores,
+    # but the process may run on one.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    sizes = []
+    pool_type = cli.ThreadPoolExecutor
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return pool_type(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", pool)
+    assert run_cli(capsys, "sweep", "--n", "3")[0] == 0
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setenv("BVLAB_THREADS", "5")
+    assert run_cli(capsys, "sweep", "--n", "3")[0] == 0
+    assert sizes == [1, 5]
+
+
+# md5 of each document as the serial walks wrote it.
+_SPLIT_DOCUMENTS = {
+    ("run", "--algorithm", "ccnot-bva", "--gamma", "00101111001011011001"):
+        "d93e88333931d990cf1c462cce219748",
+    ("run", "--algorithm", "pi", "--gamma", "0000101001"):
+        "bd17116abb11465db2393762d314fd9d",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_split_runs_keep_their_documents(threads):
+    # The 22- and 21-qubit states of these runs split their layers and
+    # compares wherever the host has two usable CPUs.
+    for argv, md5 in _SPLIT_DOCUMENTS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "bvlab", *argv],
+            env=dict(os.environ, BVLAB_THREADS=threads),
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.md5(proc.stdout).hexdigest() == md5, argv
 
 
 def test_trace_stages_and_checks(capsys):

@@ -227,41 +227,72 @@ def test_layer_checks_every_qubit_before_touching_amplitudes():
     assert np.max(np.abs(st.amps - swept)) <= LAYER_TOL
 
 
-def test_layer_allocates_one_tile():
-    st = random_state(20, seed=6)
-    for qubits in (range(20), range(19), [0, 3, 17]):
-        apply_hadamard_layer(st, qubits)  # fills the block cache
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            apply_hadamard_layer(st, qubits)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        # Besides the tile: the qubit list and set, block list and views.
-        assert peak <= statevector._TILE * 8 + 8192, (list(qubits), peak)
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs and no BVLAB_THREADS, so walks split on any host."""
+    monkeypatch.setattr(statevector, "_usable_cpus", lambda: 2)
+    monkeypatch.delenv("BVLAB_THREADS", raising=False)
 
 
-def test_layer_threads_match_serial_runs():
+def test_layer_allocates_one_tile(monkeypatch, two_cpus):
+    # At most one tile per worker: exactly one below the split size, or at
+    # one worker, and two on a split state at two workers.
+    split = statevector._SPLIT.bit_length() - 1
+    for m, threads, tiles in ((20, "2", 1), (split, "1", 1), (split, "2", 2)):
+        monkeypatch.setenv("BVLAB_THREADS", threads)
+        st = random_state(m, seed=6)
+        assert statevector._parts(st.amps.size) == tiles
+        for qubits in (range(m), range(m - 1), [0, 3, m - 3]):
+            apply_hadamard_layer(st, qubits)  # fills the block cache
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                apply_hadamard_layer(st, qubits)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            # Besides the tiles: the qubit list and set, block list, views
+            # and, when split, the futures.
+            assert peak <= tiles * statevector._TILE * 8 + 8192, (
+                m,
+                threads,
+                list(qubits),
+                peak,
+            )
+
+
+def test_layer_threads_match_serial_runs(monkeypatch, two_cpus):
     rounds = 3
     states = [random_state(MAX_M, seed=70 + i) for i in range(4)]
     states += [signed_zero_state(MAX_M, seed=80 + i) for i in range(4)]
+    # One state whose walks split, so callers on several threads share the
+    # pool; its serial bits come from one worker.
+    split = statevector._SPLIT.bit_length() - 1
+    states.append(signed_zero_state(split, seed=90))
     expected = []
+    monkeypatch.setenv("BVLAB_THREADS", "1")
     for st in states:
         alone = st.copy()
         for _ in range(rounds):
-            apply_hadamard_layer(alone, range(MAX_M))
+            apply_hadamard_layer(alone, range(st.qubits))
         expected.append(alone.amps)
+    monkeypatch.delenv("BVLAB_THREADS")
 
     def work(st):
         for _ in range(rounds):
-            apply_hadamard_layer(st, range(MAX_M))
+            apply_hadamard_layer(st, range(st.qubits))
 
     # More threads than a small machine has cores, so the per-call buffers
-    # of different states are live at once.
-    with ThreadPoolExecutor(max_workers=len(states)) as pool:
-        for future in [pool.submit(work, st) for st in states]:
-            future.result(timeout=120)
+    # of different states are live at once; a short switch interval makes
+    # the callers interleave their dispatches to the shared pool.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(states)) as pool:
+            for future in [pool.submit(work, st) for st in states]:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
     for st, amps in zip(states, expected):
         assert same_bits(st.amps, amps)
 
@@ -298,6 +329,79 @@ def test_layer_bytes_do_not_depend_on_blas_threads():
         hashes.append(proc.stdout.split())
     assert len(hashes[0]) == 3
     assert hashes[0] == hashes[1]
+
+
+# A split-size state with signed zeros; pretending to two usable CPUs
+# makes BVLAB_THREADS=2 split the walks on any host.  A NaN spreads over
+# every amplitude its products reach, so it goes through top bits only.
+_SPLIT_HASHES = """
+import hashlib
+import numpy as np
+from bvlab import statevector
+from bvlab.statevector import StateVector, apply_hadamard_layer, state_delta
+statevector._usable_cpus = lambda: 2
+m = statevector._SPLIT.bit_length() - 1
+print(statevector._parts(1 << m))
+rng = np.random.default_rng(7)
+amps = rng.normal(size=1 << m) * 2.0 ** (-m / 2)
+pick = rng.integers(0, 8, size=amps.size)
+amps[pick == 0] = 0.0
+amps[pick == 1] = -0.0
+for qubits in (range(m), [0, 3, 4, 5, 9, 17, m - 1], range(m - 1)):
+    st = apply_hadamard_layer(StateVector(m, amps.copy()), qubits)
+    print(hashlib.sha256(st.amps.tobytes()).hexdigest())
+spoilt = StateVector(m, amps.copy())
+spoilt.amps[12345] = np.nan
+apply_hadamard_layer(spoilt, [0, 1, 2, 5])
+print(np.isnan(spoilt.amps).sum(), hashlib.sha256(spoilt.amps.tobytes()).hexdigest())
+high = StateVector(m - 10, rng.normal(size=1 << (m - 10)))
+low = StateVector(10, rng.normal(size=1 << 10))
+dusty = StateVector(m, np.kron(high.amps, low.amps))
+dusty.amps[::3] += 1e-16
+print(state_delta(dusty, high, low).hex(), state_delta(st, dusty).hex())
+"""
+
+
+def test_split_walks_do_not_change_bits():
+    # The layers' bytes, NaN and signed zeros included, and state_delta's
+    # deviations are the same for one worker and two.
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPLIT_HASHES],
+            env=dict(os.environ, BVLAB_THREADS=threads),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    (one, *serial), (two, *split) = outputs
+    assert (one, two) == ("1", "2")
+    assert len(serial) == 7 and serial[3] == "16"
+    assert serial == split
+
+
+def test_worker_count_reads_usable_cpus_and_the_cap(monkeypatch):
+    monkeypatch.delenv("BVLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # A cpuset-limited process: the host has 64 cores, it may use 3.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert statevector._worker_count() == 3
+    monkeypatch.setenv("BVLAB_THREADS", "2")
+    assert statevector._worker_count() == 2
+    monkeypatch.setenv("BVLAB_THREADS", "8")
+    assert statevector._worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert statevector._worker_count() == 8
+    monkeypatch.setenv("BVLAB_THREADS", "")
+    assert statevector._worker_count() == 64
+    for bad in ("0", "-1", "zero", "1.5", " 2", "\u00b2"):
+        monkeypatch.setenv("BVLAB_THREADS", bad)
+        with pytest.raises(ValueError, match="BVLAB_THREADS"):
+            statevector._worker_count()
+    # Only states from _SPLIT on read it.
+    assert statevector._parts(statevector._SPLIT // 2) == 1
 
 
 def test_layer_matches_dense_reference():
