@@ -19,9 +19,10 @@ state, so no full-size reference is ever built.  Product states list a
 high factor over the top data bits and a low factor of at most ``_TILE``
 amplitudes, the low data bits folded with the trailing kets, so a chunk
 of the fold costs one or two multiplies.  The entangled state after the
-flip oracle is one table block of 2**(n+1) amplitudes and the target ket;
-the pairwise-sign state is the table's sign vector S over x and S 2**-n
-over y, folded with the target.
+flip oracle is a data+control block that ``state_delta`` fills chunk by
+chunk from the truth table, never stored whole, and the target ket; the
+pairwise-sign state is the table's sign vector S over x and S 2**-n over
+y, folded with the target.
 
 Register layouts (qubit 0 topmost, most significant):
 
@@ -211,22 +212,41 @@ def _key_basis(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVe
     return _product(p, key, basis_state, _kets(p.tail))
 
 
-def _signed_pair(p: _Pipeline, f: BooleanFunction, key: BitString) -> list[StateVector]:
+@dataclass(frozen=True)
+class _SignedPair:
+    """The data+control block after the flip oracle, filled from the table.
+
+    For each x the control doublet is (|x 0> + (-1)**f(x) |x 1>) / sqrt(2):
+    with scale = 2**(-qubits/2), amplitude 2x is the scale and 2x + 1 is
+    scale - 2 scale f(x), exactly (1 - 2 f(x)) scale.  No amplitude is
+    stored; ``state_delta`` has ``fill`` write each chunk's run of them
+    into a tile buffer it holds.
+    """
+
+    qubits: int
+    table: np.ndarray
+
+    def fill(self, first: int, out: np.ndarray) -> np.ndarray:
+        """Amplitudes first .. first + out.size - 1, written into out."""
+        scale = 2.0 ** (-self.qubits / 2.0)
+        out[first & 1 :: 2] = scale
+        signed = out[1 - (first & 1) :: 2]
+        x = first >> 1
+        np.copyto(signed, self.table[x : x + signed.size])
+        signed *= -2.0 * scale
+        signed += scale
+        return out
+
+
+def _signed_pair(p: _Pipeline, f: BooleanFunction, key: BitString) -> list:
     """The data+control block after the flip oracle, then the target.
 
-    For each x the control doublet is (|x 0> + (-1)**f(x) |x 1>) / sqrt(2),
-    built directly from the truth table in the block's one allocation:
-    scale - 2 scale f(x) is exactly (1 - 2 f(x)) scale.
+    The block is entangled, so it is no Kronecker product of small
+    factors; it is a ``_SignedPair`` over the truth table, which
+    ``state_delta`` fills one chunk at a time, so no 2**(n+1) block is
+    allocated.
     """
-    n = f.arity
-    scale = 2.0 ** (-(n + 1) / 2.0)
-    block = np.empty((1 << n, 2))
-    block[:, 0] = scale
-    signed = block[:, 1]
-    np.copyto(signed, f.table)
-    signed *= -2.0 * scale
-    signed += scale
-    return [StateVector(n + 1, block.reshape(-1)), StateVector(1, _kets("-")[0])]
+    return [_SignedPair(f.arity + 1, f.table), StateVector(1, _kets("-")[0])]
 
 
 def _pairwise_sign(

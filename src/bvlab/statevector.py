@@ -42,13 +42,16 @@ shape of every product, so changing it may change the last bits.
 ``state_delta`` streams the same way: it compares a state with a lazy
 left Kronecker fold of factor states, building each ``_TILE`` chunk of
 the fold in a tile buffer with the products np.kron would compute, so the
-result is exact and no full-size reference is ever allocated.  So does
-``marginal``: it squares each chunk into one tile buffer and adds it into
-the 2**k outcome table, with no full-size square and no transposed copy.
-A top register (qubits 0..k-1) whose rows of 2**(m-k) amplitudes fit in
-a tile keeps the bits of a whole-array row sum, which covers the read-out
-of every pipeline's first register up to pi at n = 14; other registers,
-such as pi's middle one, are within 1e-14 with bits fixed by ``_TILE``.
+result is exact and no full-size reference is ever allocated.  A first
+factor may be filled instead of stored (the flip oracle's signed pair,
+which is no Kronecker product): each chunk's run of it is written into a
+tile buffer.  ``marginal`` streams too: it squares each chunk into one
+tile buffer and adds it into the 2**k outcome table, with no full-size
+square and no transposed copy.  A top register (qubits 0..k-1) whose
+rows of 2**(m-k) amplitudes fit in a tile keeps the bits of a whole-array
+row sum, which covers the read-out of every pipeline's first register up
+to pi at n = 14; other registers, such as pi's middle one, are within
+1e-14 with bits fixed by ``_TILE``.
 
 Split walks: from ``_SPLIT`` amplitudes on, each top run's column chunks,
 the bottom phase's tiles and ``state_delta``'s chunks are cut into one
@@ -260,15 +263,19 @@ def _check_qubits(state: StateVector, qubits: Sequence[int]) -> list[int]:
 def _worker_count() -> int:
     """Usable CPUs, capped by BVLAB_THREADS when it is set and not empty.
 
-    ValueError naming the variable unless it is a positive integer.  The
-    CLI's sweep workers and the tile walks' parts both come from here.
+    ValueError naming the variable unless it is a positive integer in
+    ASCII digits.  The digits are compared, not converted, so a value too
+    long for int() is capped like any other.  The CLI's sweep workers and
+    the tile walks' parts both come from here.
     """
     count = _usable_cpus()
     cap = os.environ.get("BVLAB_THREADS")
     if cap:
-        if not cap.isdecimal() or int(cap) < 1:
+        digits = cap.lstrip("0")
+        if not (cap.isascii() and cap.isdigit() and digits):
             raise ValueError("BVLAB_THREADS must be a positive integer")
-        count = min(count, int(cap))
+        if len(digits) <= len(str(count)):
+            count = min(count, int(digits))
     return count
 
 
@@ -508,7 +515,7 @@ def draw(probs: np.ndarray, width: int, seed: int) -> BitString:
     return BitString.from_int(width, outcome)
 
 
-def state_delta(a: StateVector, *factors: StateVector) -> float:
+def state_delta(a: StateVector, *factors) -> float:
     """Largest entrywise |a - F|, F the left Kronecker fold of the factors.
 
     F = factors[0] (x) factors[1] (x) ..., the first factor's qubits most
@@ -518,7 +525,15 @@ def state_delta(a: StateVector, *factors: StateVector) -> float:
     being ((f0[i0] * f1[i1]) * f2[i2]) ..., the product np.kron's fold
     computes, so every |a - F| and the maximum are the same bits as
     against the whole fold.  A NaN gives NaN.
+
+    Every factor is a StateVector, except that the first may be a filled
+    one: an object with ``qubits`` and ``fill(first, out)``, which writes
+    its amplitudes first .. first + out.size - 1 into out and returns it.
+    Its amplitudes are never stored; each chunk's run of them is filled
+    into a tile buffer, as the flip oracle's signed pair is.
     """
+    if any(not isinstance(f, StateVector) for f in factors[1:]):
+        raise TypeError("only the first factor may be a filled one")
     qubits = sum(f.qubits for f in factors)
     if qubits != a.qubits:
         raise DimensionMismatchError(
@@ -546,14 +561,24 @@ def _compare_chunks(
         # then an array that grows to the whole chunk.
         cur, k, stride = None, 0, whole.size
         for f in factors:
+            count = 1 << f.qubits
+            stride //= count  # amplitudes of F per step of this index
+            first = start // stride % count
+            if not isinstance(f, StateVector):
+                # A filled factor, always the first: its one amplitude or its
+                # run on the chunk is written into a buffer.
+                part = f.fill(first, bufs[k][: max(1, size // stride)])
+                if stride >= size:
+                    cur = part[0]
+                else:
+                    cur, k = part, k ^ 1
+                continue
             amps = f.amps
-            stride //= amps.size  # amplitudes of F per step of this index
             if stride >= size:
-                v = amps[start // stride % amps.size]
+                v = amps[first]
                 cur = v if cur is None else cur * v
             elif cur is None or np.ndim(cur) == 0:
                 # The first index to vary on the chunk: a slice of the factor.
-                first = start // stride % amps.size
                 part = amps[first : first + size // stride]
                 if cur is not None:
                     part = np.multiply(part, cur, out=bufs[k][: part.size])

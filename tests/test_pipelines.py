@@ -21,7 +21,7 @@ from bvlab.pipelines import (
     run_pi,
     run_single_oracle_bva,
 )
-from bvlab.statevector import basis_state, hadamard_of_key
+from bvlab.statevector import StateVector, basis_state, hadamard_of_key, state_delta
 from bvlab.truthtable import BooleanFunction, bv_function, pi_function
 
 EXPECTED_CALLS = {"bva": 1, "ccnot-bva": 2, "pi": 1, "single-oracle-bva": 1}
@@ -62,11 +62,19 @@ def test_stages_and_references_are_float64(name):
     assert {st.amps.dtype for st in report.states.values()} == {np.dtype(np.float64)}
     p = pipelines._PIPELINES[name]
     key = p.read_key(f)
-    # References are never folded whole; every factor they fold is float64.
+    # References are never folded whole; every factor they fold is float64,
+    # the filled signed pair as its chunks are filled.
     for stage, forms, _ in pipelines._circuit(p, f):
         for _, form in forms:
             for factor in form(p, f, key):
-                assert factor.amps.dtype == np.float64, stage
+                assert _amps(factor).dtype == np.float64, stage
+
+
+def _amps(factor):
+    """A factor's amplitudes; a filled factor is filled whole."""
+    if isinstance(factor, StateVector):
+        return factor.amps
+    return factor.fill(0, np.empty(1 << factor.qubits))
 
 
 def _kron_fold(*parts):
@@ -130,7 +138,7 @@ def test_factored_forms_fold_to_the_whole_forms(name, tile, monkeypatch):
         for form in _forms(p):
             factors = form(p, f, key)
             assert len(factors) <= 2
-            folded = _kron_fold(*(x.amps for x in factors))
+            folded = _kron_fold(*(_amps(x) for x in factors))
             if name == "pi" and n % 2 and form is pipelines._key_phase:
                 gap = np.abs(folded - whole[form])
                 assert np.all(gap <= np.spacing(np.abs(whole[form]))), n
@@ -150,24 +158,64 @@ def test_product_forms_are_two_factors_of_at_most_a_tile(name):
     key = p.read_key(f)
     for form in _forms(p):
         if form is pipelines._signed_pair:
-            continue  # entangled: a table block, checked below
+            continue  # entangled: filled per chunk, checked below
         factors = form(p, f, key)
         assert len(factors) == 2, form
         assert sum(x.amps.size for x in factors) <= 2 * statevector._TILE, form
 
 
-def test_signed_pair_allocates_only_its_block():
-    f = bv_function(BitString.of(np.random.default_rng(2).integers(0, 2, 20)))
+@pytest.mark.parametrize("tile", [1 << 4, 1 << 5, 1 << 7, statevector._TILE])
+def test_filled_signed_pair_compares_as_its_block(tile, monkeypatch):
+    # Against the filled signed pair, state_delta gives the bits it gives
+    # against the block filled whole: on dusty states, with and without a
+    # NaN, whether a chunk holds a run of the pair (the target ket after
+    # it) or one amplitude of it (a 7-qubit factor after it).
+    monkeypatch.setattr(statevector, "_TILE", tile)
     p = pipelines._PIPELINES["ccnot-bva"]
+    rng = np.random.default_rng(tile)
+    for n in range(1, 9):
+        f = BooleanFunction(rng.integers(0, 2, 1 << n))
+        pair, target = pipelines._signed_pair(p, f, None)
+        block = StateVector(n + 1, _amps(pair))
+        low = StateVector(7, rng.normal(size=1 << 7))
+        for tail in (target, low):
+            fold = np.kron(block.amps, tail.amps)
+            dust = rng.normal(size=fold.size) * 1e-16
+            a = StateVector(n + 1 + tail.qubits, fold + dust)
+            for spoil in (False, True):
+                if spoil:
+                    a.amps[rng.integers(fold.size)] = np.nan
+                want = state_delta(a, block, tail).hex()
+                assert state_delta(a, pair, tail).hex() == want, (n, tail.qubits)
+            assert want == "nan"
+
+
+def test_filled_factor_must_come_first():
+    f = bv_function(BitString.parse("11"))
+    pair, target = pipelines._signed_pair(pipelines._PIPELINES["ccnot-bva"], f, None)
+    a = StateVector(4, np.zeros(16))
+    with pytest.raises(TypeError, match="first"):
+        state_delta(a, target, pair)
+
+
+def test_checked_ccnot_run_holds_one_state_and_its_read_out(monkeypatch):
+    # At n = 20 a checked run peaks at the 22-qubit state, the top read-out,
+    # a table's worth of bytes and a few tiles per worker: the signed pair
+    # checked after the flip oracle is filled per chunk, not stored as a
+    # block of 2**21 amplitudes (16 MiB) next to the state.
+    monkeypatch.setenv("BVLAB_THREADS", "2")
+    n = 20
+    f = bv_function(BitString.of(np.random.default_rng(2).integers(0, 2, n)))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        block, target = pipelines._signed_pair(p, f, p.read_key(f))
+        report = run_ccnot_bva(f)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert block.amps.size == 1 << 21 and target.amps.size == 2
-    assert peak <= block.amps.nbytes + 8192, peak
+    assert report.stages_ok() and report.recovered is not None
+    tiles = 2 * 4 * statevector._TILE * 8
+    assert peak <= 8 * (1 << (n + 2)) + 8 * (1 << n) + (1 << n) + tiles, peak
 
 
 def test_pipeline_queries_leave_classical_counter_alone():

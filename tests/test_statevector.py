@@ -337,8 +337,9 @@ def test_layer_bytes_do_not_depend_on_blas_threads():
 _SPLIT_HASHES = """
 import hashlib
 import numpy as np
-from bvlab import statevector
+from bvlab import pipelines, statevector
 from bvlab.statevector import StateVector, apply_hadamard_layer, state_delta
+from bvlab.truthtable import BooleanFunction
 statevector._usable_cpus = lambda: 2
 m = statevector._SPLIT.bit_length() - 1
 print(statevector._parts(1 << m))
@@ -359,12 +360,18 @@ low = StateVector(10, rng.normal(size=1 << 10))
 dusty = StateVector(m, np.kron(high.amps, low.amps))
 dusty.amps[::3] += 1e-16
 print(state_delta(dusty, high, low).hex(), state_delta(st, dusty).hex())
+f = BooleanFunction(rng.integers(0, 2, 1 << (m - 2)))
+pair, target = pipelines._signed_pair(pipelines._PIPELINES["ccnot-bva"], f, None)
+after_flip = StateVector(m, np.kron(pair.fill(0, np.empty(1 << (m - 1))), target.amps))
+after_flip.amps += rng.normal(size=1 << m) * 1e-16
+print(state_delta(after_flip, pair, target).hex())
 """
 
 
 def test_split_walks_do_not_change_bits():
     # The layers' bytes, NaN and signed zeros included, and state_delta's
-    # deviations are the same for one worker and two.
+    # deviations, against product factors and against ccnot-bva's filled
+    # signed pair, are the same for one worker and two.
     outputs = []
     for threads in ("1", "2"):
         proc = subprocess.run(
@@ -378,7 +385,7 @@ def test_split_walks_do_not_change_bits():
         outputs.append(proc.stdout.split())
     (one, *serial), (two, *split) = outputs
     assert (one, two) == ("1", "2")
-    assert len(serial) == 7 and serial[3] == "16"
+    assert len(serial) == 8 and serial[3] == "16"
     assert serial == split
 
 
@@ -396,7 +403,12 @@ def test_worker_count_reads_usable_cpus_and_the_cap(monkeypatch):
     assert statevector._worker_count() == 8
     monkeypatch.setenv("BVLAB_THREADS", "")
     assert statevector._worker_count() == 64
-    for bad in ("0", "-1", "zero", "1.5", " 2", "\u00b2"):
+    monkeypatch.setenv("BVLAB_THREADS", "007")
+    assert statevector._worker_count() == 7
+    # Longer than int() converts by default: still a count, capped.
+    monkeypatch.setenv("BVLAB_THREADS", "9" * 5000)
+    assert statevector._worker_count() == 64
+    for bad in ("0", "-1", "zero", "1.5", " 2", "\u00b2", "\u0663", "0" * 5000):
         monkeypatch.setenv("BVLAB_THREADS", bad)
         with pytest.raises(ValueError, match="BVLAB_THREADS"):
             statevector._worker_count()
