@@ -14,10 +14,11 @@ seeds produce byte-identical documents; reports default to JSON, and
 ``--format text`` renders fixed-width tables instead.
 
 Environment: BVLAB_THREADS is the only variable read.  It caps sweep's
-workers and the workers that split each Hadamard layer and stage compare
-on states of 2**21 or more amplitudes; both counts are also capped by the
-usable CPUs, and no document depends on them.  Every command refuses a
-value that is not a positive integer with exit 2.
+workers and the workers that split each Hadamard layer, oracle, stage
+compare and top-register read-out on states of 2**21 or more amplitudes;
+both counts are also capped by the usable CPUs, and no document depends
+on them.  Every command refuses a value that is not a positive integer
+with exit 2.
 """
 
 from __future__ import annotations

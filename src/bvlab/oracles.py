@@ -11,8 +11,12 @@ Its entries are 0, 1 or -1.
 
 No kernel gathers the amplitudes it moves.  Each walks the array in
 blocks of at most ``_TILE`` table indices or amplitudes, of whole states
-when a state is smaller, and allocates at most two tiles whatever the
-state's size.  All four flip kernels run one swap loop, exact bit
+when a state is smaller, and allocates at most two tiles per worker
+whatever the state's size.  From ``_SPLIT`` amplitudes on, the blocks
+are cut into one contiguous part per worker on ``statevector._walk``,
+as the Hadamard layer's tiles are; a block is the same ufunc calls
+whichever thread runs it, so the bits do not depend on the worker
+count.  All four flip kernels run one swap loop, exact bit
 arithmetic on the uint64 view of the amplitudes (an xor swap under an
 all-ones or zero mask per index), so bits move unchanged, NaN payloads
 and signed zeros included.  The two-register index is the 2n-bit (x, y),
@@ -35,12 +39,13 @@ Register layouts (qubit 0 topmost / most significant):
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
-from .statevector import _TILE, StateVector
+from .statevector import _TILE, StateVector, _parts, _walk
 from .truthtable import BooleanFunction
 
 __all__ = [
@@ -80,42 +85,59 @@ def _swap_targets(
     # The one swap loop of all four flip kinds.  The amplitudes are (states,
     # v, control slice, target pair), v being x, or with pair the 2n-bit
     # (x, y) whose read is f(x) ^ f(y); flips[b] is the read on which slice
-    # b swaps its pair, or None.  On the uint64 view a swap is exact bit
-    # arithmetic with no gather: d = (lo ^ hi) & mask, lo ^= d, hi ^= d, the
-    # mask all ones where the pair swaps and zero elsewhere.  Blocks of
-    # whole states, or of v rows of one state, keep the mask and d at one
-    # tile each; the mask broadcasts over the states and is read one tile
-    # at a time, a pair mask from just the x and y rows the tile spans.
+    # b swaps its pair, or None.  Blocks of whole states, or of v rows of
+    # one state, are walked in one part per worker, each with its own mask
+    # and difference tiles.
     bits = 2 * n if pair else n
     words = amps.view(np.uint64).reshape(-1, 1 << bits, len(flips), 2)
     states = max(1, _TILE >> bits)
     rows = min(_TILE, 1 << bits)
-    mask = np.empty(rows, dtype=np.uint64)
-    diffs = np.empty((min(states, len(words)), rows), dtype=np.uint64)
+    count = -(-len(words) // states) * ((1 << bits) // rows)
+    tiles = [
+        (np.empty(rows, np.uint64), np.empty((min(states, len(words)), rows), np.uint64))
+        for _ in range(min(_parts(amps.size), count))
+    ]
+    step = functools.partial(_swap_blocks, words, n, table, flips, pair, states)
+    _walk(count, step, tiles)
+
+
+def _swap_blocks(
+    words: np.ndarray, n: int, table: np.ndarray, flips, pair: bool, states: int,
+    lo: int, hi: int, tiles,
+) -> None:
+    # Blocks lo..hi-1 of _swap_targets, each of `states` whole states or of
+    # mask.size v rows of one state.  On the uint64 view a swap is exact bit
+    # arithmetic with no gather: d = (low ^ high) & mask, low ^= d, high ^=
+    # d, the mask all ones where the pair swaps and zero elsewhere.  The mask
+    # broadcasts over the states and is read one tile at a time, a pair
+    # mask from just the x and y rows the tile spans.
+    mask, diffs = tiles
+    rows = mask.size
+    per = words.shape[1] // rows
     grid = mask.reshape(-1, min(rows, 1 << n))
-    for s in range(0, len(words), states):
-        for v in range(0, 1 << bits, rows):
-            block = words[s : s + states, v : v + rows]
-            d = diffs[: len(block)]
-            if pair:  # x rows by y, or part of one x row
-                x, y = v >> n, v & ((1 << n) - 1)
-                fx, fy = table[x : x + len(grid), None], table[y : y + grid.shape[1]]
-                np.bitwise_xor(fx, fy, out=grid)
-            else:
-                np.copyto(mask, table[v : v + rows])
-            np.negative(mask, out=mask)
-            polarity = 1
-            for b, flip in enumerate(flips):
-                if flip is None:
-                    continue
-                if flip != polarity:
-                    np.invert(mask, out=mask)
-                    polarity = flip
-                lo, hi = block[:, :, b, 0], block[:, :, b, 1]
-                np.bitwise_xor(lo, hi, out=d)
-                np.bitwise_and(d, mask, out=d)
-                np.bitwise_xor(lo, d, out=lo)
-                np.bitwise_xor(hi, d, out=hi)
+    for i in range(lo, hi):
+        s, v = i // per * states, i % per * rows
+        block = words[s : s + states, v : v + rows]
+        d = diffs[: len(block)]
+        if pair:  # x rows by y, or part of one x row
+            x, y = v >> n, v & ((1 << n) - 1)
+            fx, fy = table[x : x + len(grid), None], table[y : y + grid.shape[1]]
+            np.bitwise_xor(fx, fy, out=grid)
+        else:
+            np.copyto(mask, table[v : v + rows])
+        np.negative(mask, out=mask)
+        polarity = 1
+        for b, flip in enumerate(flips):
+            if flip is None:
+                continue
+            if flip != polarity:
+                np.invert(mask, out=mask)
+                polarity = flip
+            low, high = block[:, :, b, 0], block[:, :, b, 1]
+            np.bitwise_xor(low, high, out=d)
+            np.bitwise_and(d, mask, out=d)
+            np.bitwise_xor(low, d, out=low)
+            np.bitwise_xor(high, d, out=high)
 
 
 def _standard_bv_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
@@ -130,14 +152,21 @@ def _toffoli_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
 
 def _phase_kernel(amps: np.ndarray, n: int, table: np.ndarray) -> None:
     # Diagonal: multiply the flag-0 half by the sign 1 - 2 f(x), exactly,
-    # one tile of x at a time, one strided column per trailing index (one
-    # at the oracle's own width, two in ccnot-bva).
+    # one tile of x at a time, in one part per worker with its own sign
+    # tile.
     blocks = amps.reshape(-1, 1 << n, 2, amps.shape[-1] >> (n + 1))
     rows = min(_TILE, 1 << n)
-    signs = np.empty(rows)
-    for x in range(0, 1 << n, rows):
+    count = (1 << n) // rows
+    signs = [np.empty(rows) for _ in range(min(_parts(amps.size), count))]
+    _walk(count, functools.partial(_sign_blocks, blocks, table), signs)
+
+
+def _sign_blocks(blocks: np.ndarray, table: np.ndarray, lo: int, hi: int, sign) -> None:
+    # x tiles lo..hi-1 of _phase_kernel, one strided column per trailing
+    # index (one at the oracle's own width, two in ccnot-bva).
+    rows = sign.size
+    for x in range(lo * rows, hi * rows, rows):
         half = blocks[:, x : x + rows, 0]
-        sign = signs[: half.shape[1]]
         np.copyto(sign, table[x : x + rows])
         sign *= -2.0
         sign += 1.0

@@ -45,7 +45,7 @@ the fold in a tile buffer with the products np.kron would compute, so the
 result is exact and no full-size reference is ever allocated.  A first
 factor may be filled instead of stored (the flip oracle's signed pair,
 which is no Kronecker product): each chunk's run of it is written into a
-tile buffer.  ``marginal`` streams too: it squares each chunk into one
+tile buffer.  ``marginal`` streams too: it squares each chunk into a
 tile buffer and adds it into the 2**k outcome table, with no full-size
 square and no transposed copy.  A top register (qubits 0..k-1) whose
 rows of 2**(m-k) amplitudes fit in a tile keeps the bits of a whole-array
@@ -54,16 +54,18 @@ to pi at n = 14; other registers, such as pi's middle one, are within
 1e-14 with bits fixed by ``_TILE``.
 
 Split walks: from ``_SPLIT`` amplitudes on, each top run's column chunks,
-the bottom phase's tiles and ``state_delta``'s chunks are cut into one
-contiguous part per worker, min(usable CPUs, BVLAB_THREADS) and at most
-one per tile.  The caller allocates every part's buffers, runs part 0
-itself and hands the rest to one shared pool, created on first use, then
-waits for them before the next walk.  A chunk is the same product or
-ufunc call on the same shapes whichever thread runs it, so no bit depends
-on the worker count.  Smaller states, such as sweep's at n = 8 (17
-qubits at most), walk in one part on the caller.  ``marginal`` adds its
-chunks into the outcome table in order, so it and the oracle kernels
-stay serial.
+the bottom phase's tiles, ``state_delta``'s chunks, the oracle kernels'
+blocks (see ``oracles``) and the chunks of a top register's ``marginal``
+are cut into one contiguous part per worker, min(usable CPUs,
+BVLAB_THREADS) and at most one per tile.  The caller allocates every
+part's buffers, runs part 0 itself and hands the rest to one shared pool,
+created on first use, then waits for them before the next walk.  A chunk
+is the same product or ufunc call on the same shapes whichever thread
+runs it, so no bit depends on the worker count.  A top register whose
+rows fit in a tile gives each chunk its own rows of the outcome table;
+any other register carries its running totals from chunk to chunk, so
+its ``marginal`` walks in order in one part.  Smaller states, such as
+sweep's at n = 8 (17 qubits at most), walk in one part on the caller.
 
 The dense-matrix checks read a signed permutation from its nonzeros.
 Every oracle is one: each row and each column of its matrix holds exactly
@@ -314,6 +316,9 @@ def _walk(count: int, step, buffers: Sequence) -> None:
     first use; returns once every part has.
     """
     parts = len(buffers)
+    if parts == 1:  # most calls, at small sizes: no bounds, no futures
+        step(0, count, buffers[0])
+        return
     bounds = [count * p // parts for p in range(parts + 1)]
     futures = [
         _pool().submit(step, bounds[p], bounds[p + 1], buffers[p])
@@ -429,7 +434,8 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
 
     The amplitudes are a (2**lo, 2**k, 2**r) grid, r the qubits below the
     register; a row is the 2**r amplitudes of one (leading index, outcome)
-    pair.  Each ``_TILE`` chunk is squared into one tile buffer.  Whole
+    pair.  Each ``_TILE`` chunk is squared into a tile buffer, one per
+    worker on a split top register (see the module docstring).  Whole
     leading blocks inside a chunk are added pairwise onto the first, then
     each row is added onto its outcome: in sequence when it has fewer than
     8 entries, else by np.add.reduce along the row (numpy's pairwise
@@ -446,17 +452,41 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     if max(sel) - lo != k - 1:
         raise ValueError(f"qubits {sel} do not form one contiguous register")
     amps = state.amps
-    outcomes = 1 << k
     width = amps.size >> (lo + k)
     size = min(_TILE, amps.size)
+    table = np.zeros(1 << k)
+    # Chunks of a top register whose rows fit in a tile own disjoint rows
+    # of the table, so they may be split; any other register carries its
+    # running totals from chunk to chunk in order, in one part.
+    parts = _parts(amps.size) if lo == 0 and width <= size else 1
+    tiles = [np.empty(size) for _ in range(parts)]
+    step = functools.partial(_square_chunks, amps, table, width)
+    _walk(amps.size // size, step, tiles)
+    if sel != sorted(sel):
+        # Output bit j, most significant first, is qubit sel[j].
+        v = np.arange(table.size)
+        src = np.zeros_like(v)
+        for j, q in enumerate(sel):
+            src |= (v >> (k - 1 - j) & 1) << (lo + k - 1 - q)
+        table = table[src]
+    return table
+
+
+def _square_chunks(
+    amps: np.ndarray, table: np.ndarray, width: int, lo: int, hi: int, tile
+) -> None:
+    """marginal's chunks lo..hi-1 of tile.size amplitudes, added into table.
+
+    width is the length of a row, the amplitudes of one (leading index,
+    outcome) pair.
+    """
+    size, outcomes = tile.size, table.size
     # A chunk is (blocks, rows, cols): whole leading blocks of every
     # outcome, a run of rows of one block, or part of one row.
     cols = min(width, size)
     rows = min(outcomes, size // cols)
     blocks = size // (rows * cols)
-    tile = np.empty(size)
-    table = np.zeros(outcomes)
-    for start in range(0, amps.size, size):
+    for start in range(lo * size, hi * size, size):
         chunk = amps[start : start + size]
         squares = np.multiply(chunk, chunk, out=tile).reshape(blocks, -1)
         half = blocks
@@ -475,14 +505,6 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
         else:
             grid[:, 0] += total
             np.add.reduce(grid, axis=1, out=total)
-    if sel != sorted(sel):
-        # Output bit j, most significant first, is qubit sel[j].
-        v = np.arange(outcomes)
-        src = np.zeros_like(v)
-        for j, q in enumerate(sel):
-            src |= (v >> (k - 1 - j) & 1) << (lo + k - 1 - q)
-        table = table[src]
-    return table
 
 
 def measure_certain(
@@ -585,15 +607,16 @@ def _compare_chunks(
                     k ^= 1
                 cur = part
             else:
-                # Whole periods of this factor: loop over the shorter axis.
+                # Whole periods of this factor: a call per factor amplitude
+                # when the factor is the shorter axis, else one broadcast
+                # call; each entry is the one product cur[r] * amps[i].
                 out = bufs[k][: cur.size * amps.size].reshape(cur.size, amps.size)
                 k ^= 1
                 if amps.size <= cur.size:
                     for i, v in enumerate(amps):
                         np.multiply(cur, v, out=out[:, i])
                 else:
-                    for r, v in enumerate(cur):
-                        np.multiply(v, amps, out=out[r])
+                    np.multiply(cur[:, None], amps, out=out)
                 cur = out.reshape(-1)
         diff = bufs[k]
         np.subtract(whole[start : start + size], cur, out=diff)

@@ -31,18 +31,6 @@ __all__ = [
 MAX_ARITY = 24
 
 
-def _indices(n: int) -> np.ndarray:
-    """Every table index for arity n; refuses an oversize arity before allocating."""
-    if n > MAX_ARITY:
-        raise CapacityError(f"arity {n} exceeds limit {MAX_ARITY}")
-    return np.arange(1 << n, dtype=np.uint64)
-
-
-def _parity_of(values: np.ndarray) -> np.ndarray:
-    """Per-element popcount parity of a uint64 array."""
-    return (np.bitwise_count(values) & 1).astype(np.uint8)
-
-
 class BooleanFunction:
     """A function given by its explicit truth table.
 
@@ -86,11 +74,22 @@ class BooleanFunction:
         """Fresh counting-enabled view sharing this table."""
         return self._view(counting=True)
 
+    @classmethod
+    def _trusted(cls, table: np.ndarray) -> "BooleanFunction":
+        """A function over a uint8 table of 0s and 1s that is not checked.
+
+        Only for tables that are 0/1 by construction, of a power-of-two
+        length from 2 up to 2**MAX_ARITY.
+        """
+        f = object.__new__(cls)
+        f.arity, f.table = table.size.bit_length() - 1, table
+        f.counting, f.query_count = False, 0
+        return f
+
     def _view(self, counting: bool) -> "BooleanFunction":
         """A fresh view sharing this table, which is not checked again."""
-        view = object.__new__(BooleanFunction)
-        view.arity, view.table = self.arity, self.table
-        view.counting, view.query_count = counting, 0
+        view = self._trusted(self.table)
+        view.counting = counting
         return view
 
     def __eq__(self, other: object) -> bool:
@@ -104,16 +103,40 @@ class BooleanFunction:
         return f"BooleanFunction(arity={self.arity}, table={bits}{tail})"
 
 
+def _masked_parities(gamma: BitString, first: int) -> BooleanFunction:
+    """The table first ^ dot(x, gamma), built by doubling.
+
+    Entries 2**k .. 2**(k+1) - 1 are entries 0 .. 2**k - 1 xor bit k of
+    gamma, counting from the least significant; an arity over MAX_ARITY
+    is refused before anything is allocated.
+    """
+    n = len(gamma)
+    if n > MAX_ARITY:
+        raise CapacityError(f"arity {n} exceeds limit {MAX_ARITY}")
+    g = gamma.to_int()
+    table = np.empty(1 << n, dtype=np.uint8)
+    table[0] = first
+    for k in range(n):
+        low, high = table[: 1 << k], table[1 << k : 2 << k]
+        if g >> k & 1:
+            np.bitwise_xor(low, 1, out=high)
+        else:
+            high[...] = low  # a plain copy costs less than a ufunc call
+    return BooleanFunction._trusted(table)
+
+
 def bv_function(gamma: BitString) -> BooleanFunction:
     """f(x) = dot(x, gamma): the parity of x masked by the hidden string."""
-    g = gamma.to_int()
-    return BooleanFunction(_parity_of(_indices(len(gamma)) & np.uint64(g)))
+    return _masked_parities(gamma, 0)
 
 
 def pi_function(gamma: BitString) -> BooleanFunction:
-    """f(x) = dot(x XOR gamma, gamma): the key-shifted masked parity."""
-    g = np.uint64(gamma.to_int())
-    return BooleanFunction(_parity_of((_indices(len(gamma)) ^ g) & g))
+    """f(x) = dot(x XOR gamma, gamma): the key-shifted masked parity.
+
+    That is dot(x, gamma) xor dot(gamma, gamma), the bv table starting
+    from the parity of gamma.
+    """
+    return _masked_parities(gamma, gamma.to_int().bit_count() & 1)
 
 
 def classical_bv_solve(f: BooleanFunction) -> BitString:

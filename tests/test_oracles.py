@@ -182,43 +182,58 @@ def test_every_kernel_is_its_exact_permutation_or_sign_in_tiles(case):
     assert single.tobytes() == expected[0].tobytes()
 
 
+def traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize(
     "kind",
     [OracleKind.STANDARD_BV, OracleKind.TOFFOLI, OracleKind.PHASE, OracleKind.SINGLE_XOR],
 )
-def test_kernel_on_a_20_qubit_state_holds_at_most_two_tiles(kind):
+def test_kernel_on_a_20_qubit_state_holds_at_most_two_tiles(kind, monkeypatch, two_cpus):
     # Masks, differences or signs only: no part of the state is gathered.
-    n = 20 - kind.qubit_count(0)
-    table = np.random.default_rng(5).integers(0, 2, 1 << n, dtype=np.uint8)
-    amps = np.random.default_rng(6).normal(size=1 << 20)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        _ORACLES[kind][0](amps, n, table)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * statevector._TILE * 8 + 8192, peak
+    # At most two tiles per worker: a 20-qubit state walks in one part, a
+    # split-size one in one part at one worker and in two at two.
+    split = statevector._SPLIT.bit_length() - 1
+    for m, threads, parts in ((20, "2", 1), (split, "1", 1), (split, "2", 2)):
+        monkeypatch.setenv("BVLAB_THREADS", threads)
+        n = m - kind.qubit_count(0)
+        table = np.random.default_rng(5).integers(0, 2, 1 << n, dtype=np.uint8)
+        amps = np.random.default_rng(6).normal(size=1 << m)
+        assert statevector._parts(amps.size) == parts
+        _ORACLES[kind][0](amps, n, table)  # creates the shared pool
+        peak = traced_peak(_ORACLES[kind][0], amps, n, table)
+        assert peak <= parts * 2 * statevector._TILE * 8 + 8192, (m, threads, peak)
 
 
-def test_two_register_kernel_on_a_21_qubit_state_holds_two_tiles_and_a_table_tile():
+def test_two_register_kernel_on_a_21_qubit_state_holds_two_tiles_and_a_table_tile(
+    monkeypatch, two_cpus
+):
     # The mask f(x) ^ f(y) is read from the table one tile at a time, so
     # besides the mask and difference tiles only numpy's casting buffers
     # for the uint8 reads are held, less than one uint8 tile.  The
-    # 2**20-entry pair table would be four more tiles.
+    # 2**20-entry pair table would be four more tiles.  21 qubits is the
+    # split size: one part at one worker, one each at two.
     n = 10
+    assert 1 << (2 * n + 1) == statevector._SPLIT
     table = np.random.default_rng(5).integers(0, 2, 1 << n, dtype=np.uint8)
-    amps = np.random.default_rng(6).normal(size=1 << (2 * n + 1))
-    expected = _expected_by_index(OracleKind.TWO_REGISTER, table, n, 0, amps[None])[0]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    start = np.random.default_rng(6).normal(size=1 << (2 * n + 1))
+    expected = _expected_by_index(OracleKind.TWO_REGISTER, table, n, 0, start[None])[0]
+    for threads, parts in (("1", 1), ("2", 2)):
+        monkeypatch.setenv("BVLAB_THREADS", threads)
+        amps = start.copy()
+        oracles._two_register_kernel(amps, n, table)  # creates the shared pool
         oracles._two_register_kernel(amps, n, table)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * statevector._TILE * 8 + statevector._TILE + 8192, peak
-    assert amps.tobytes() == expected.tobytes()
+        peak = traced_peak(oracles._two_register_kernel, amps, n, table)
+        tiles = 2 * statevector._TILE * 8 + statevector._TILE
+        assert peak <= parts * tiles + 8192, (threads, peak)
+        assert amps.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 """State engine vs dense reference: gates, marginals, checks, dumps."""
 
+import ast
+import inspect
 import itertools
 import math
 import os
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 import refsim
-from bvlab import statevector
+from bvlab import oracles, statevector
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.errors import DimensionMismatchError, NotDeterministicError
 from bvlab.oracles import OracleKind, oracle_dense_matrix
@@ -227,13 +229,6 @@ def test_layer_checks_every_qubit_before_touching_amplitudes():
     assert np.max(np.abs(st.amps - swept)) <= LAYER_TOL
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs and no BVLAB_THREADS, so walks split on any host."""
-    monkeypatch.setattr(statevector, "_usable_cpus", lambda: 2)
-    monkeypatch.delenv("BVLAB_THREADS", raising=False)
-
-
 def test_layer_allocates_one_tile(monkeypatch, two_cpus):
     # At most one tile per worker: exactly one below the split size, or at
     # one worker, and two on a split state at two workers.
@@ -269,18 +264,25 @@ def test_layer_threads_match_serial_runs(monkeypatch, two_cpus):
     # pool; its serial bits come from one worker.
     split = statevector._SPLIT.bit_length() - 1
     states.append(signed_zero_state(split, seed=90))
-    expected = []
-    monkeypatch.setenv("BVLAB_THREADS", "1")
-    for st in states:
-        alone = st.copy()
-        for _ in range(rounds):
-            apply_hadamard_layer(alone, range(st.qubits))
-        expected.append(alone.amps)
-    monkeypatch.delenv("BVLAB_THREADS")
+    # Each round also runs a Toffoli kernel, and a top read-out follows the
+    # last round; both split like the layer.
+    tables = {
+        m: np.random.default_rng(m).integers(0, 2, 1 << (m - 2), dtype=np.uint8)
+        for m in (MAX_M, split)
+    }
 
     def work(st):
         for _ in range(rounds):
             apply_hadamard_layer(st, range(st.qubits))
+            oracles._toffoli_kernel(st.amps, st.qubits - 2, tables[st.qubits])
+        return marginal(st, range(st.qubits - 2))
+
+    monkeypatch.setenv("BVLAB_THREADS", "1")
+    expected = []
+    for st in states:
+        alone = st.copy()
+        expected.append((work(alone), alone.amps))
+    monkeypatch.delenv("BVLAB_THREADS")
 
     # More threads than a small machine has cores, so the per-call buffers
     # of different states are live at once; a short switch interval makes
@@ -289,12 +291,13 @@ def test_layer_threads_match_serial_runs(monkeypatch, two_cpus):
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=len(states)) as pool:
-            for future in [pool.submit(work, st) for st in states]:
-                future.result(timeout=120)
+            futures = [pool.submit(work, st) for st in states]
+            tops = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    for st, amps in zip(states, expected):
+    for st, top, (top_alone, amps) in zip(states, tops, expected):
         assert same_bits(st.amps, amps)
+        assert same_bits(top, top_alone)
 
 
 # Builds the input without np.linalg.norm, whose BLAS dot could make the
@@ -334,13 +337,25 @@ def test_layer_bytes_do_not_depend_on_blas_threads():
 # A split-size state with signed zeros; pretending to two usable CPUs
 # makes BVLAB_THREADS=2 split the walks on any host.  A NaN spreads over
 # every amplitude its products reach, so it goes through top bits only.
+# The kernels and read-outs run on the state with NaN payloads as well.
+# The last line names the step functions _walk ran in more than one part.
 _SPLIT_HASHES = """
 import hashlib
 import numpy as np
-from bvlab import pipelines, statevector
-from bvlab.statevector import StateVector, apply_hadamard_layer, state_delta
+from bvlab import oracles, pipelines, statevector
+from bvlab.oracles import _ORACLES, OracleKind
+from bvlab.statevector import StateVector, apply_hadamard_layer, marginal, state_delta
 from bvlab.truthtable import BooleanFunction
 statevector._usable_cpus = lambda: 2
+walked = set()
+walk = statevector._walk
+def traced_walk(count, step, buffers):
+    if len(buffers) > 1:
+        walked.add(step.func.__name__)
+    walk(count, step, buffers)
+statevector._walk = oracles._walk = traced_walk
+def digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
 m = statevector._SPLIT.bit_length() - 1
 print(statevector._parts(1 << m))
 rng = np.random.default_rng(7)
@@ -350,11 +365,11 @@ amps[pick == 0] = 0.0
 amps[pick == 1] = -0.0
 for qubits in (range(m), [0, 3, 4, 5, 9, 17, m - 1], range(m - 1)):
     st = apply_hadamard_layer(StateVector(m, amps.copy()), qubits)
-    print(hashlib.sha256(st.amps.tobytes()).hexdigest())
+    print(digest(st.amps))
 spoilt = StateVector(m, amps.copy())
 spoilt.amps[12345] = np.nan
 apply_hadamard_layer(spoilt, [0, 1, 2, 5])
-print(np.isnan(spoilt.amps).sum(), hashlib.sha256(spoilt.amps.tobytes()).hexdigest())
+print(np.isnan(spoilt.amps).sum(), digest(spoilt.amps))
 high = StateVector(m - 10, rng.normal(size=1 << (m - 10)))
 low = StateVector(10, rng.normal(size=1 << 10))
 dusty = StateVector(m, np.kron(high.amps, low.amps))
@@ -365,13 +380,49 @@ pair, target = pipelines._signed_pair(pipelines._PIPELINES["ccnot-bva"], f, None
 after_flip = StateVector(m, np.kron(pair.fill(0, np.empty(1 << (m - 1))), target.amps))
 after_flip.amps += rng.normal(size=1 << m) * 1e-16
 print(state_delta(after_flip, pair, target).hex())
+words = amps.view(np.uint64)
+nans = [0x7FF0000000000001, 0xFFF800000000DEAD, 0x7FF8000000000000]
+words[pick == 2] = rng.choice(np.array(nans, dtype=np.uint64), int((pick == 2).sum()))
+for kind in OracleKind:
+    n = (m - 1) // 2 if kind is OracleKind.TWO_REGISTER else m - kind.qubit_count(0)
+    moved = amps.copy()
+    _ORACLES[kind][0](moved, n, rng.integers(0, 2, 1 << n, dtype=np.uint8))
+    print(digest(moved))
+nan_state = StateVector(m, amps)
+print(digest(marginal(nan_state, range(m - 2))), digest(marginal(st, range(m - 2))))
+print(digest(marginal(nan_state, range(10, 20))), digest(marginal(st, range(10, 20))))
+print(",".join(sorted(walked)))
 """
+
+# Every function bound by functools.partial in these modules is a body
+# that _walk runs.
+_WALK_BODIES = {
+    "_top_chunks",
+    "_bottom_tiles",
+    "_compare_chunks",
+    "_square_chunks",
+    "_swap_blocks",
+    "_sign_blocks",
+}
+
+
+def walk_bodies(*modules):
+    """Names of the functions the modules bind with functools.partial."""
+    names = set()
+    for module in modules:
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "functools.partial":
+                names.add(node.args[0].id)
+    return names
 
 
 def test_split_walks_do_not_change_bits():
-    # The layers' bytes, NaN and signed zeros included, and state_delta's
+    # The layers' bytes, NaN and signed zeros included, state_delta's
     # deviations, against product factors and against ccnot-bva's filled
-    # signed pair, are the same for one worker and two.
+    # signed pair, each oracle kernel's bytes, NaN payloads included, and
+    # the read-outs of a top register and of pi's middle one are the same
+    # for one worker and two.  At two, every walk body runs split, except
+    # marginal's on the middle register, which carries its totals in order.
     outputs = []
     for threads in ("1", "2"):
         proc = subprocess.run(
@@ -382,11 +433,14 @@ def test_split_walks_do_not_change_bits():
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.split())
-    (one, *serial), (two, *split) = outputs
-    assert (one, two) == ("1", "2")
-    assert len(serial) == 8 and serial[3] == "16"
+        outputs.append(proc.stdout.splitlines())
+    (one, *serial, none), (two, *split, walked) = outputs
+    assert (one, two, none) == ("1", "2", "")
+    assert len(serial) == 13
+    assert serial[3].split()[0] == "16"
     assert serial == split
+    assert walk_bodies(statevector, oracles) == _WALK_BODIES
+    assert set(walked.split(",")) == _WALK_BODIES
 
 
 def test_worker_count_reads_usable_cpus_and_the_cap(monkeypatch):
@@ -535,16 +589,27 @@ def test_marginal_matches_index_arithmetic(case):
     [(0, 18), (0, 10), (5, 10), (9, 10), (12, 8)],
     ids=["top-rows-of-4", "top-rows-of-1024", "middle", "pi-middle", "bottom"],
 )
-def test_marginal_allocates_the_output_and_one_tile(lo, k):
-    st = random_state(20, seed=5)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        table = marginal(st, range(lo, lo + k))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= table.nbytes + statevector._TILE * 8 + 4096, peak
+def test_marginal_allocates_the_output_and_one_tile(lo, k, monkeypatch, two_cpus):
+    # One tile per worker.  A 20-qubit state walks in one part; on a
+    # split-size state a top register walks in one part at one worker and
+    # in two at two, and any other register in one.
+    split = statevector._SPLIT.bit_length() - 1
+    for m, threads in ((20, "2"), (split, "1"), (split, "2")):
+        monkeypatch.setenv("BVLAB_THREADS", threads)
+        parts = 2 if (m, threads, lo) == (split, "2", 0) else 1
+        st = random_state(m, seed=5)
+        marginal(st, range(lo, lo + k))  # creates the shared pool
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = marginal(st, range(lo, lo + k))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Per worker: its tile and 4096 bytes of views, the part's bounds
+        # and, when split, its future.
+        bound = table.nbytes + parts * (statevector._TILE * 8 + 4096)
+        assert peak <= bound, (m, threads, peak)
 
 
 def test_measure_certain():

@@ -90,6 +90,36 @@ def test_pi_function_is_shifted_masked_parity():
                 assert f.evaluate(x) == (x ^ gamma).dot(gamma)
 
 
+def test_doubling_build_matches_index_arithmetic():
+    # The tables' bytes are those of the parity expressions over every
+    # index, for every arity up to 12 and sampled keys.
+    rng = np.random.default_rng(4)
+    for n in range(1, 13):
+        v = np.arange(1 << n, dtype=np.uint64)
+        for g in {0, (1 << n) - 1, *rng.integers(0, 1 << n, 6).tolist()}:
+            gamma = BitString.from_int(n, int(g))
+            g = np.uint64(g)
+            bv = (np.bitwise_count(v & g) & 1).astype(np.uint8)
+            pi = (np.bitwise_count((v ^ g) & g) & 1).astype(np.uint8)
+            for f, expected in ((bv_function(gamma), bv), (pi_function(gamma), pi)):
+                assert f.arity == n and f.table.dtype == np.uint8
+                assert f.table.tobytes() == expected.tobytes(), (n, str(gamma))
+
+
+@pytest.mark.parametrize("make", [bv_function, pi_function], ids=["bv", "pi"])
+def test_table_build_peaks_at_the_table(make):
+    # No index array and no check temporary: the table and small change.
+    gamma = BitString.from_int(22, 0x2A5F1C)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f = make(gamma)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= f.table.nbytes + (64 << 10), peak
+
+
 def test_classical_bv_solve_exact_queries():
     for n in (1, 2, 3, 4):
         for gamma in all_bitstrings(n):
