@@ -12,17 +12,16 @@ algorithm: its count of n-qubit data registers, its key reader, the
 single-qubit kets that follow the data block after the first Hadamard
 layer and after the last oracle, and its oracle steps with the closed
 forms checked after each.  ``_circuit`` applies a record's layers and
-``_run`` checks each stage, then reads out.  Each reference is the left
-Kronecker fold of the factors its closed form lists, a high and a low
-factor; ``state_delta`` streams that fold chunk by chunk against the
-state, so no full-size reference is ever built.  Product states list a
-high factor over the top data bits and a low factor of at most ``_TILE``
-amplitudes, the low data bits folded with the trailing kets, so a chunk
-of the fold costs one or two multiplies.  The entangled state after the
-flip oracle is a data+control block that ``state_delta`` fills chunk by
-chunk from the truth table, never stored whole, and the target ket; the
-pairwise-sign state is the table's sign vector S over x and S 2**-n over
-y, folded with the target.
+``_run`` checks each stage, then reads out.  Each reference is the
+product high (x) low of the two factors its closed form lists, or its
+one low factor; ``state_delta`` compares the state with it chunk by
+chunk, so no full-size reference is ever built.  Product states list a
+high factor over the top data bits, if any, and a low factor of at most
+``_TILE`` amplitudes, the low data bits with the trailing kets.  The
+entangled state after the flip oracle is a data+control block that
+``state_delta`` fills chunk by chunk from the truth table, never stored
+whole, then the target ket; the pairwise-sign state is the table's sign
+vector S over x, then S 2**-n over y with the target.
 
 Register layouts (qubit 0 topmost, most significant):
 
@@ -157,11 +156,11 @@ def _kets(signs: str) -> list[np.ndarray]:
     return [np.array([r, r if s == "+" else -r]) for s in signs]
 
 
-# Closed forms.  Each maps (record, table, expected key) to at most two
-# factors whose left Kronecker fold is the whole state at one stage.  For
-# a product state they are a high factor and a low factor of at most one
-# state_delta chunk (low_factor_bits), so that state_delta builds each
-# chunk of the fold with one or two multiplies.
+# Closed forms.  Each maps (record, table, expected key) to the factors
+# state_delta takes: a high and a low factor whose Kronecker product is
+# the whole state at one stage, or the low one alone.  A product state's
+# low factor fits one state_delta chunk (low_factor_bits), so each chunk
+# is one product of a low slice or of whole low periods.
 
 
 def _product(
@@ -170,17 +169,17 @@ def _product(
     data: Callable[[int, BitString], StateVector],
     tail: list[np.ndarray],
 ) -> list[StateVector]:
-    """data(m, key repeated per register), then the tail kets, as two factors.
+    """data(m, key repeated per register), then the tail kets, as high and low.
 
     data is basis_state or hadamard_of_key.  The low factor holds the low
     data bits, folded with the tail kets as np.kron folds them; the high
     factor holds the other data bits, if any.  The low bits are an even
     count unless they are all of the data bits, so hadamard_of_key's scale
-    on them, 2**(-b/2), is a power of two, and the fold of the two factors
-    has the bits of the fold of the whole data block with the kets.  With
-    two registers the data block is data(2n, key key), whose scale is the
-    exact 2**-n; H(key) (x) H(key) squares a rounded 2**(-n/2), so at odd
-    n the two differ by up to 1 ulp.
+    on them, 2**(-b/2), is a power of two, and high (x) low has the bits
+    of the whole data block folded with the kets.  With two registers the
+    data block is data(2n, key key), whose scale is the exact 2**-n;
+    H(key) (x) H(key) squares a rounded 2**(-n/2), so at odd n the two
+    differ by up to 1 ulp.
     """
     label = list(key) * p.registers
     m = len(label)

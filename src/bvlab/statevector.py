@@ -39,19 +39,19 @@ are fixed for a given ``_TILE``: the same on every run and under any
 BLAS, caller or worker thread count.  ``_TILE`` sets the split and the
 shape of every product, so changing it may change the last bits.
 
-``state_delta`` streams the same way: it compares a state with a lazy
-left Kronecker fold of factor states, building each ``_TILE`` chunk of
-the fold in a tile buffer with the products np.kron would compute, so the
-result is exact and no full-size reference is ever allocated.  A first
-factor may be filled instead of stored (the flip oracle's signed pair,
-which is no Kronecker product): each chunk's run of it is written into a
-tile buffer.  ``marginal`` streams too: it squares each chunk into a
-tile buffer and adds it into the 2**k outcome table, with no full-size
-square and no transposed copy.  A top register (qubits 0..k-1) whose
-rows of 2**(m-k) amplitudes fit in a tile keeps the bits of a whole-array
-row sum, which covers the read-out of every pipeline's first register up
-to pi at n = 14; other registers, such as pi's middle one, are within
-1e-14 with bits fixed by ``_TILE``.
+``state_delta`` streams the same way: it compares a state with one
+factor, or with the product high (x) low, writing each ``_TILE`` chunk
+of the product into a tile buffer with the products np.kron would
+compute, so the result is exact and no full-size reference is ever
+allocated.  The high factor may be filled instead of stored (the flip
+oracle's signed pair, which is no Kronecker product).  ``marginal``
+streams too: it squares each chunk into a tile buffer and adds it into
+the 2**k outcome table, with no full-size square and no transposed copy.
+A top register (qubits 0..k-1) whose rows of 2**(m-k) amplitudes fit in
+a tile keeps the bits of a whole-array row sum, which covers the
+read-out of every pipeline's first register up to pi at n = 14; other
+registers, such as pi's middle one, are within 1e-14 with bits fixed by
+``_TILE``.
 
 Split walks: from ``_SPLIT`` amplitudes on, each top run's column chunks,
 the bottom phase's tiles, ``state_delta``'s chunks, the oracle kernels'
@@ -71,39 +71,22 @@ The dense-matrix checks read a signed permutation from its nonzeros.
 Every oracle is one: each row and each column of its matrix holds exactly
 one +-1.  ``_signed_permutation`` walks the row blocks once, and when
 every line (row, or column of an F-ordered matrix) holds one finite
-nonzero s at a distinct column, each check takes its verdict from those
-N values.  A check alone reads the matrix once; ``check_oracle_matrix``
-reads it once for its unitary, self-adjoint and structure verdicts
-together, which is how ``certify`` checks each oracle matrix.  Each
-verdict has one formula, shared by both: unitary is |s^2 - 1| <= tol,
-self-adjoint is |s - mirror| <= tol, where a line's mirror is the value
-of the line its column names if that line names it back, else 0.  For
-0 <= tol < 1, permutation is |s - 1| <= tol and signed diagonal is every
-s on the diagonal with ||s| - 1| <= tol.  These verdicts are the dense
-ones bit for bit: every entry of M^T M is one product s * s or an exact
-zero, every entry of M - M^T is s - mirror, -s or 0 - 0, and below tol 1
-a zero is near 0 and never near 1.  From tol = 1 on a zero counts as near
-1, so the two structure checks read only below it.
+nonzero s at a distinct column, a check takes its verdict from those N
+values, by the formula in its docstring.  These are the dense verdicts
+bit for bit: every entry of M^T M is one product s * s or an exact zero,
+every entry of M - M^T is s - mirror, -s or 0 - 0, and below tol 1 a
+zero is near 0 and never near 1.  So a check reads a signed permutation,
+except that the two structure checks read only for 0 <= tol < 1, and
+evaluates any other matrix dense with no second read.
+``check_oracle_matrix`` takes all three of its verdicts from one read,
+which is how ``certify`` checks each oracle matrix.
 
-Any other matrix takes the dense paths without a second read, as does a
-tol outside [0, 1) in the structure checks: a line with two nonzeros
-(tolerance dust next to a 1), a zero line, a shared column, a NaN or inf,
-or a general matrix such as H; every oracle matrix is read instead.
-There each check streams in one reused buffer with no full-size
-temporary.
-``check_unitary`` forms each ``_SIDE`` x ``_SIDE`` tile of the upper
-triangle of M^T M as one product over all rows, and ``check_hermitian``
-compares each tile (i, j) with its mirror (j, i); both stop at the first
-tile over tol.  Every tile is formed, so each verdict is the whole-matrix
-one: the NaN of 0 * inf in M^T M, or of inf - inf in M - M^T, fails it,
-and so does a negative or NaN tol.
-
-``check_permutation`` and ``check_signed_diagonal`` walk row blocks of at
-most ``_TILE`` entries, of M^T when M is F-ordered, since both conditions
-read the same on M and M^T.  Every test has the form "not x <= tol", so a
-NaN fails it.  The verdicts are those of the whole-matrix expressions:
-exactly so for entries of 0 and +-1, and for other floats up to the
-summation order of the products.
+Dense, the Gram and mirror checks evaluate the whole-matrix expression
+in one matrix-sized temporary.  The structure checks walk row blocks of
+at most ``_TILE`` entries, of M^T when M is F-ordered, since both
+conditions read the same on M and M^T, and stop at the first failing
+block.  Every test has the form "not x <= tol", so a NaN fails it, and
+so does a negative or NaN tol.
 
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
@@ -166,14 +149,6 @@ _RUN = 4
 # 2.7 ms.  Each worker holds its own tiles, two of them in state_delta,
 # so the split starts where those are at most 1/32 of the state.
 _SPLIT = 1 << 21
-
-# Side of the square tiles both dense-matrix checks work in.  On 2 cores,
-# a dense 2048 x 2048 check_unitary (C order) took 190-245, 114-118 and
-# 76-81 ms with sides 32, 64 and 128, and check_hermitian 11, 14-21 and
-# 22-93 ms.  Oracle matrices are read from their nonzeros and never reach
-# the tiles.
-_SIDE = 64
-
 
 @functools.cache
 def _block(pattern: tuple[bool, ...]) -> np.ndarray:
@@ -538,90 +513,71 @@ def draw(probs: np.ndarray, width: int, seed: int) -> BitString:
 
 
 def state_delta(a: StateVector, *factors) -> float:
-    """Largest entrywise |a - F|, F the left Kronecker fold of the factors.
+    """Largest entrywise |a - F|, F one factor or the product high (x) low.
 
-    F = factors[0] (x) factors[1] (x) ..., the first factor's qubits most
-    significant; with one factor this is the plain comparison.  F is never
-    built whole.  For each ``_TILE`` chunk of a, that chunk of F is built
-    in two tile buffers (two per worker on a split state), each amplitude
-    being ((f0[i0] * f1[i1]) * f2[i2]) ..., the product np.kron's fold
-    computes, so every |a - F| and the maximum are the same bits as
-    against the whole fold.  A NaN gives NaN.
+    The high factor's qubits are the most significant.  F is never built
+    whole: for each ``_TILE`` chunk of a, that chunk of F is written into
+    a tile buffer (two per worker on a split state), each amplitude being
+    the one product high[i] * low[j] that np.kron computes, so every
+    |a - F| and the maximum are the same bits as against np.kron's F.  A
+    NaN gives NaN.
 
-    Every factor is a StateVector, except that the first may be a filled
-    one: an object with ``qubits`` and ``fill(first, out)``, which writes
-    its amplitudes first .. first + out.size - 1 into out and returns it.
-    Its amplitudes are never stored; each chunk's run of them is filled
-    into a tile buffer, as the flip oracle's signed pair is.
+    low is a StateVector.  high may be one too, or a filled factor: an
+    object with ``qubits`` and ``fill(first, out)``, which writes its
+    amplitudes first .. first + out.size - 1 into out and returns it.  Its
+    amplitudes are never stored; each chunk's run of them is filled into
+    a tile buffer, as the flip oracle's signed pair is.
     """
-    if any(not isinstance(f, StateVector) for f in factors[1:]):
-        raise TypeError("only the first factor may be a filled one")
     qubits = sum(f.qubits for f in factors)
     if qubits != a.qubits:
         raise DimensionMismatchError(
             f"qubit count mismatch: {a.qubits} vs {qubits}"
         )
+    if len(factors) > 2 or not isinstance(factors[-1], StateVector):
+        raise TypeError("one factor, or two of which only the first may be filled")
+    high, low = factors if len(factors) == 2 else (None, factors[0])
     size = min(_TILE, a.amps.size)
     peaks = np.empty(a.amps.size // size)
     buffers = [
         (np.empty(size), np.empty(size)) for _ in range(_parts(a.amps.size))
     ]
-    step = functools.partial(_compare_chunks, a.amps, factors, peaks)
+    step = functools.partial(_compare_chunks, a.amps, high, low, peaks)
     _walk(peaks.size, step, buffers)
     return float(peaks.max())
 
 
 def _compare_chunks(
-    whole: np.ndarray, factors, peaks: np.ndarray, lo: int, hi: int, bufs
+    whole: np.ndarray, high, low: StateVector, peaks: np.ndarray, lo: int, hi: int,
+    bufs,
 ) -> None:
     """state_delta's peaks[lo:hi], chunk j being whole[j * size:][:size]."""
-    size = bufs[0].size
+    ref, run = bufs
+    size, n = ref.size, low.amps.size
+    count = max(1, size // n)  # high's amplitudes on one chunk
     for j in range(lo, hi):
         start = j * size
-        # cur is this chunk's part of the fold so far: None before the first
-        # factor, a scalar while each factor index is constant on the chunk,
-        # then an array that grows to the whole chunk.
-        cur, k, stride = None, 0, whole.size
-        for f in factors:
-            count = 1 << f.qubits
-            stride //= count  # amplitudes of F per step of this index
-            first = start // stride % count
-            if not isinstance(f, StateVector):
-                # A filled factor, always the first: its one amplitude or its
-                # run on the chunk is written into a buffer.
-                part = f.fill(first, bufs[k][: max(1, size // stride)])
-                if stride >= size:
-                    cur = part[0]
-                else:
-                    cur, k = part, k ^ 1
-                continue
-            amps = f.amps
-            if stride >= size:
-                v = amps[first]
-                cur = v if cur is None else cur * v
-            elif cur is None or np.ndim(cur) == 0:
-                # The first index to vary on the chunk: a slice of the factor.
-                part = amps[first : first + size // stride]
-                if cur is not None:
-                    part = np.multiply(part, cur, out=bufs[k][: part.size])
-                    k ^= 1
-                cur = part
+        if high is None:
+            expected = low.amps[start : start + size]
+        else:
+            expected, first = ref, start // n
+            if isinstance(high, StateVector):
+                h = high.amps[first : first + count]
             else:
-                # Whole periods of this factor: a call per factor amplitude
-                # when the factor is the shorter axis, else one broadcast
-                # call; each entry is the one product cur[r] * amps[i].
-                out = bufs[k][: cur.size * amps.size].reshape(cur.size, amps.size)
-                k ^= 1
-                if amps.size <= cur.size:
-                    for i, v in enumerate(amps):
-                        np.multiply(cur, v, out=out[:, i])
-                else:
-                    np.multiply(cur[:, None], amps, out=out)
-                cur = out.reshape(-1)
-        diff = bufs[k]
-        np.subtract(whole[start : start + size], cur, out=diff)
-        np.abs(diff, out=diff)
-        peaks[j] = diff.max()
+                h = high.fill(first, run[:count])
+            # Each entry is the one product high[i] * low[j]: a low slice by
+            # one high amplitude, a call per low amplitude when low is the
+            # shorter axis, else one broadcast call.
+            if n >= size:
+                np.multiply(low.amps[start % n : start % n + size], h[0], out=ref)
+            elif n <= count:
+                out = ref.reshape(count, n)
+                for i, v in enumerate(low.amps):
+                    np.multiply(h, v, out=out[:, i])
+            else:
+                np.multiply(h[:, None], low.amps, out=ref.reshape(count, n))
+        np.subtract(whole[start : start + size], expected, out=run)
+        np.abs(run, out=run)
+        peaks[j] = run.max()
 
 
 def low_factor_bits(tail: int) -> int:
@@ -689,17 +645,6 @@ def _signed_permutation(m: np.ndarray):
     return (index, value) if taken.all() else None
 
 
-def _tile_pairs(n: int, w: int):
-    """First columns (i0, j0) of each pair of width-w column tiles, i0 <= j0.
-
-    The tiles cover n columns; pairs come by j0 and then by i0, so
-    (j0, j0) ends each run.
-    """
-    for j0 in range(0, n, w):
-        for i0 in range(0, j0 + 1, w):
-            yield i0, j0
-
-
 def _read_unitary(index: np.ndarray, value: np.ndarray, tol: float) -> bool:
     return bool(np.abs(value * value - 1.0).max() <= tol)
 
@@ -720,35 +665,20 @@ def _read_signed_diagonal(index: np.ndarray, value: np.ndarray, tol: float) -> b
 
 
 def _dense_unitary(m: np.ndarray, tol: float) -> bool:
-    w = min(_SIDE, len(m))
-    gram = np.empty(w * w)
-    for i0, j0 in _tile_pairs(len(m), w):
-        left, right = m[:, i0 : i0 + w], m[:, j0 : j0 + w]
-        k = right.shape[1]
-        block = gram[: left.shape[1] * k].reshape(-1, k)
-        np.matmul(left.T, right, out=block)
-        if i0 == j0:
-            diagonal = gram[: k * k : k + 1]
-            np.subtract(diagonal, 1.0, out=diagonal)
-        np.abs(block, out=block)
-        if not block.max() <= tol:
-            return False
-    return True
+    gram = m.T @ m
+    diagonal = gram.reshape(-1)[:: len(m) + 1]
+    np.subtract(diagonal, 1.0, out=diagonal)
+    np.abs(gram, out=gram)
+    return bool(gram.max() <= tol)
 
 
 def _dense_hermitian(m: np.ndarray, tol: float) -> bool:
-    w = min(_SIDE, len(m))
-    pair = np.empty((2, w * w))
-    for i0, j0 in _tile_pairs(len(m), w):
-        upper = m[i0 : i0 + w, j0 : j0 + w]
-        a, b = (half[: upper.size].reshape(upper.shape) for half in pair)
-        np.copyto(a, upper)
-        np.copyto(b, m[j0 : j0 + w, i0 : i0 + w].T)
-        np.subtract(a, b, out=a)
-        np.abs(a, out=a)
-        if not a.max() <= tol:
-            return False
-    return True
+    # M^T copied in M's own layout: against a transposed operand, numpy's
+    # ufunc loop would allocate a buffer of its own.
+    d = m.T.copy(order="F" if m.flags.f_contiguous else "C")
+    np.subtract(m, d, out=d)
+    np.abs(d, out=d)
+    return bool(d.max() <= tol)
 
 
 def _dense_permutation(m: np.ndarray, tol: float) -> bool:
@@ -760,6 +690,7 @@ def _dense_permutation(m: np.ndarray, tol: float) -> bool:
         # Exactly one per row: at least one in each, and no more in all.
         if np.count_nonzero(one) != len(block) or not one.any(axis=1).all():
             return False
+        # Then each column has exactly one iff the rows' near-1 columns differ.
         taken[np.argmax(one, axis=1)] = True
         # Every entry that is not near 1 must be near 0.
         np.abs(block, out=d)
@@ -773,7 +704,9 @@ def _dense_signed_diagonal(m: np.ndarray, tol: float) -> bool:
     n = len(m)
     for r0, block, a in _row_blocks(m, np.float64):
         np.abs(block, out=a)
-        # a[t, r0 + t] is a's flat entry r0 + t * (n + 1).
+        # a[t, r0 + t] is a's flat entry r0 + t * (n + 1).  Each diagonal d
+        # becomes ||d| - 1|, so one maximum tests both conditions; an
+        # infinite d fails, as d - d is NaN in the whole M - diag(d).
         diagonal = a.reshape(-1)[r0 :: n + 1]
         np.subtract(diagonal, 1.0, out=diagonal)
         np.abs(diagonal, out=diagonal)
@@ -811,35 +744,15 @@ def _verdicts(matrix: np.ndarray, tol: float, names: Sequence[str]) -> tuple[boo
 
 
 def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M^T M - I| <= tol, over the upper-triangle tiles of M^T M.
-
-    A signed permutation (see ``_signed_permutation``) is read from its
-    nonzeros s: M^T M is diagonal with entries s * s and exact zeros
-    elsewhere, so the verdict is max |s * s - 1| <= tol, bit for bit.
-
-    Any other matrix is checked tile by tile.  M^T M is symmetric, so only
-    tiles (i, j) with i <= j are formed, each M[:, I]^T M[:, J] over all
-    rows in one _SIDE x _SIDE buffer.  Every such tile is formed, so a NaN,
-    or the 0 * inf = NaN of an infinite entry, fails as it fails the
-    whole-matrix maximum, and so does a negative or NaN tol.
-    """
+    """max |M^T M - I| <= tol; read as max |s * s - 1| <= tol."""
     return _verdicts(matrix, tol, ("unitary",))[0]
 
 
 def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """max |M - M^T| <= tol, comparing tile (i, j) with tile (j, i) for i <= j.
+    """max |M - M^T| <= tol; read as max |s - mirror| <= tol.
 
-    A signed permutation is read from its nonzeros s: at each, M - M^T is
-    s - mirror, the mirror being the entry at the transposed place, and
-    elsewhere -s (where only the transposed place holds one) or 0 - 0.  So
-    the verdict is max |s - mirror| <= tol, bit for bit.
-
-    Any other matrix is compared tile pair by tile pair, every pair of the
-    upper triangle, so an infinite diagonal entry fails (inf - inf is NaN),
-    and so does a negative or NaN tol.  Both tiles are copied into one
-    buffer of two _SIDE x _SIDE tiles first, so every ufunc works on
-    contiguous memory: given a strided 2-D operand, numpy's ufunc loop
-    allocates a buffer of its own.
+    A line's mirror is the value of the line its column names if that
+    line names it back, else 0.
     """
     return _verdicts(matrix, tol, ("hermitian",))[0]
 
@@ -847,13 +760,7 @@ def check_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
 def check_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """Every entry within tol of 0 or 1, exactly one near-1 per row and column.
 
-    For 0 <= tol < 1 a signed permutation is read from its nonzeros s: its
-    zeros are near 0 and never near 1, so it passes iff every |s - 1| <=
-    tol.  From tol = 1 on a zero is near 1 too, so there, and for any
-    other matrix, the check streams row blocks through one float and one
-    bool tile.  Once every row has exactly one near-1, every column has
-    exactly one iff the rows' near-1 columns are all distinct, which one
-    bool per column records.
+    Read as max |s - 1| <= tol.
     """
     return _verdicts(matrix, tol, ("permutation",))[0]
 
@@ -861,14 +768,7 @@ def check_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
 def check_signed_diagonal(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """Diagonal matrix with every diagonal entry within tol of +1 or -1.
 
-    For 0 <= tol < 1 a signed permutation is read from its nonzeros s: it
-    passes iff every s is on the diagonal with ||s| - 1| <= tol, since an
-    s off it leaves a zero on its row's diagonal, 1 from +-1.  For another
-    tol, or any other matrix, the check streams row blocks through one
-    float tile holding |M|, with each diagonal entry d replaced by
-    ||d| - 1| (= min(|d - 1|, |d + 1|)), so a single maximum per tile tests
-    both conditions; a NaN anywhere fails, and so does an infinite d, whose
-    d - d is NaN in the whole-matrix M - diag(d).
+    Read as every s on the diagonal with ||s| - 1| <= tol.
     """
     return _verdicts(matrix, tol, ("signed-diagonal",))[0]
 
@@ -879,10 +779,7 @@ def check_oracle_matrix(
     """(unitary, self-adjoint, structure) verdicts from one read of the matrix.
 
     ``structure`` is "permutation" or "signed-diagonal".  Each verdict is
-    the one its own check gives, but the matrix is scanned for a signed
-    permutation once for all three; a matrix that is none, and the
-    structure verdict at a tol outside [0, 1), take the dense paths without
-    a second scan.
+    the one its own check gives.
     """
     if structure not in ("permutation", "signed-diagonal"):
         raise ValueError(f"unknown structure {structure!r}")

@@ -683,10 +683,8 @@ def kron_fold(factors):
 
 @st_.composite
 def fold_cases(draw):
-    """Factor widths, a tile size and a seed for a lazy-fold comparison."""
-    widths = draw(st_.lists(st_.integers(1, 6), min_size=1, max_size=5))
-    while sum(widths) > 10 and len(widths) > 1:
-        widths.pop()
+    """One or two factor widths, a tile size and a seed for a comparison."""
+    widths = draw(st_.lists(st_.integers(1, 6), min_size=1, max_size=2))
     tile = draw(st_.sampled_from([1, 2, 4, 16, 256, statevector._TILE]))
     return widths, tile, draw(st_.integers(0, 2**32 - 1))
 
@@ -694,10 +692,11 @@ def fold_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(fold_cases())
 @example(([1], statevector._TILE, 0))  # a 1-qubit state, one factor
-@example(([1, 1, 1], 2, 1))  # two factors constant on each chunk
+@example(([2, 1], 2, 1))  # high constant on each chunk
 @example(([16, 1], statevector._TILE, 2))  # a factor longer than a tile
-@example(([2, 3], 4, 3))  # a chunk shorter than the last factor
-@example(([6, 1, 2], 4, 4))  # a sliced factor, then short ones
+@example(([2, 3], 4, 3))  # a chunk shorter than the low factor
+@example(([6, 1], 4, 4))  # high sliced, with a short low
+@example(([2, 3], 16, 5))  # high sliced, with a longer low
 def test_state_delta_equals_the_whole_kron_fold(case):
     widths, tile, seed = case
     factors = [random_state(w, seed + i) for i, w in enumerate(widths)]
@@ -727,17 +726,19 @@ def test_state_delta_refuses_a_width_mismatch_before_any_work(monkeypatch):
     for factors in ((), (one,), (one, one), (one, one, one, one)):
         with pytest.raises(DimensionMismatchError):
             state_delta(a, *factors)
+    # The right width in three factors: more than state_delta takes.
+    with pytest.raises(TypeError):
+        state_delta(a, one, one, one)
 
 
 def test_state_delta_allocates_a_few_tiles_not_the_fold():
     m = 20
     a = random_state(m, seed=5)
     r = 2.0**-0.5
-    # _spread's shape for a single data register: uniform, |+>, |->.
+    # _spread's shape for a single data register: uniform, then |+> |->.
     factors = [
         StateVector(m - 2, np.full(1 << (m - 2), 2.0 ** (-(m - 2) / 2.0))),
-        StateVector(1, np.array([r, r])),
-        StateVector(1, np.array([r, -r])),
+        StateVector(2, np.kron([r, r], [r, -r])),
     ]
     tile = statevector._TILE
     tracemalloc.start()
@@ -822,7 +823,7 @@ def whole_matrix_verdicts(m, tol):
 
 @st_.composite
 def matrix_check_cases(draw):
-    """A matrix, its tol, and the _SIDE and _TILE to check it with.
+    """A matrix, its tol, and the _TILE to check it with.
 
     The matrix is a signed permutation, involution, diagonal or
     block-diagonal of 2 x 2 blocks (the oracle shape), all zeros, or a
@@ -882,32 +883,30 @@ def matrix_check_cases(draw):
             view = big[1 : n + 1, 2 : n + 2]  # rows strided, entries adjacent
         view[...] = m
         m = view
-    widths = st_.sampled_from([1, 3, 8])
-    return m, tol, draw(widths), draw(widths)
+    return m, tol, draw(st_.sampled_from([1, 3, 8]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrix_check_cases())
-@example((np.array([[1.0, np.nan], [0.0, 1.0]]), 1e-12, 1, 1))
-@example((np.diag([1.0, np.inf, -1.0]), 0.0, 1, 1))  # inf - inf on the diagonal
-# An inf at [0, 8] puts 0 * inf = NaN in the Gram tiles that pair column
-# 8 with the others, as in the whole-matrix Gram.
-@example((np.where(np.arange(81).reshape(9, 9) == 8, np.inf, np.eye(9)), 0.0, 3, 1))
-@example((np.zeros((4, 4)), -1e-12, 3, 1))  # all-zero tiles fail a negative tol
+@example((np.array([[1.0, np.nan], [0.0, 1.0]]), 1e-12, 1))
+@example((np.diag([1.0, np.inf, -1.0]), 0.0, 1))  # inf - inf on the diagonal
+# An inf at [0, 8] puts 0 * inf = NaN in the Gram entries that pair
+# column 8 with the others.
+@example((np.where(np.arange(81).reshape(9, 9) == 8, np.inf, np.eye(9)), 0.0, 1))
+@example((np.zeros((4, 4)), -1e-12, 1))  # all zeros fail a negative tol
 # At tol = inf only a NaN fails: inf - inf on the diagonal of M - diag(d),
-# 0 * inf in the off-diagonal Gram tile.
-@example((np.diag([1.0, np.inf]), np.inf, 1, 1))
-# Unit columns that are not orthogonal: only an off-diagonal tile fails.
-@example((np.array([[1.0, 1.0], [0.0, 0.0]]), 1e-12, 1, 1))
+# 0 * inf off the diagonal of the Gram.
+@example((np.diag([1.0, np.inf]), np.inf, 1))
+# Unit columns that are not orthogonal: only an off-diagonal entry fails.
+@example((np.array([[1.0, 1.0], [0.0, 0.0]]), 1e-12, 1))
 # Two nonzeros in one row and none in the next, in one row block: at tol 2
 # the read would see a unit row, a zero row and a unit row.
-@example((np.array([[0.0, 1.0, 5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), 2.0, 1, 8))
+@example((np.array([[0.0, 1.0, 5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), 2.0, 8))
 def test_streamed_checks_match_whole_matrix_expressions(case):
-    m, tol, side, tile = case
+    m, tol, tile = case
     with np.errstate(invalid="ignore", over="ignore"):
         expected = whole_matrix_verdicts(m, tol)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(statevector, "_SIDE", side)
             mp.setattr(statevector, "_TILE", tile)
             got = {name: check(m, tol) for name, check in MATRIX_CHECKS.items()}
     assert got == expected
@@ -923,16 +922,15 @@ def oracle_matrix_verdicts(expected, structure):
 # A permutation that is not diagonal at tol 1 and inf: a zero counts as
 # near 1, so the permutation verdict is False and the signed-diagonal one
 # True, where the read would say the opposite.  Both must take the dense path.
-@example((np.eye(3)[[1, 0, 2]], 1.0, 1, 1), "permutation")
-@example((np.eye(3)[[1, 0, 2]], 1.0, 3, 8), "signed-diagonal")
-@example((np.eye(3)[[1, 0, 2]], np.inf, 1, 1), "permutation")
-@example((np.eye(3)[[1, 0, 2]], np.inf, 3, 8), "signed-diagonal")
+@example((np.eye(3)[[1, 0, 2]], 1.0, 1), "permutation")
+@example((np.eye(3)[[1, 0, 2]], 1.0, 8), "signed-diagonal")
+@example((np.eye(3)[[1, 0, 2]], np.inf, 1), "permutation")
+@example((np.eye(3)[[1, 0, 2]], np.inf, 8), "signed-diagonal")
 def test_oracle_matrix_check_matches_whole_matrix_expressions(case, structure):
-    m, tol, side, tile = case
+    m, tol, tile = case
     with np.errstate(invalid="ignore", over="ignore"):
         expected = whole_matrix_verdicts(m, tol)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(statevector, "_SIDE", side)
             mp.setattr(statevector, "_TILE", tile)
             got = check_oracle_matrix(m, structure, tol)
     assert got == oracle_matrix_verdicts(expected, structure)
@@ -955,14 +953,13 @@ def test_matrix_checks_allocate_one_buffer():
 
     def buffer(name, size):
         rows = statevector._TILE // size
-        w = min(statevector._SIDE, size)
         # The signed-permutation read: a bool tile, and an index, a value and
-        # a bool per line.  It is freed before any dense tile is allocated,
-        # so a check holds the read or its tiles, never both.
+        # a bool per line.  It is freed before any dense buffer is allocated,
+        # so a check holds the read or its dense buffers, never both.
         read = rows * size + 17 * size
         return {
-            "unitary": max(w * w * 8, read),  # one Gram tile
-            "hermitian": max(2 * w * w * 8, read),  # a pair of tiles
+            "unitary": max(size * size * 8, read),  # the Gram matrix
+            "hermitian": max(size * size * 8, read),  # M - M^T
             "permutation": rows * size * 9 + size,  # a float and a bool tile, bools
             "signed-diagonal": rows * size * 8,
         }[name]
@@ -1001,19 +998,19 @@ def test_matrix_checks_allocate_one_buffer():
 
 def test_certify_matrices_are_read_as_signed_permutations(monkeypatch):
     # Every oracle matrix certify --n 4 checks, and its transpose, gets its
-    # verdicts from the nonzeros: no tile walk, no float row-block tile.
+    # verdicts from the nonzeros: no dense path, no float row-block tile.
     def refuse(*args):
-        raise AssertionError("a signed permutation reached the tile walk")
+        raise AssertionError("a signed permutation reached a dense path")
 
+    for name, (read, _, always) in statevector._CHECKS.items():
+        monkeypatch.setitem(statevector._CHECKS, name, (read, refuse, always))
     f = BooleanFunction(np.random.default_rng(4).integers(0, 2, 16))
     for kind in OracleKind:
         matrix = oracle_dense_matrix(kind, f)
         for layout in (matrix, matrix.T):
             n = len(layout)
-            with monkeypatch.context() as mp:
-                mp.setattr(statevector, "_tile_pairs", refuse)
-                assert check_unitary(layout) and check_hermitian(layout)
-                assert check_oracle_matrix(layout, kind.structure) == (True,) * 3
+            assert check_unitary(layout) and check_hermitian(layout)
+            assert check_oracle_matrix(layout, kind.structure) == (True,) * 3
             tile = min(n, max(1, statevector._TILE // n)) * n * 8
             for name in ("permutation", "signed-diagonal"):
                 tracemalloc.start()
