@@ -33,6 +33,11 @@ def random_state(m, seed):
     return StateVector(m, amps / np.linalg.norm(amps))
 
 
+def run_kernel(kind, amps, n, table):
+    """The one oracle loop on raw amplitudes, as the kind's row plans it."""
+    oracles._kernel(amps, n, table, *_ORACLES[kind][0])
+
+
 def test_qubit_counts():
     assert OracleKind.STANDARD_BV.qubit_count(3) == 4
     assert OracleKind.TOFFOLI.qubit_count(3) == 5
@@ -87,14 +92,13 @@ def test_kernel_on_a_batch_matches_single_states_and_the_reference(case):
     dim = 1 << kind.qubit_count(f.arity)
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(k, dim))
-    # Zeros, which the phase kernel turns into -0.0 on both paths.
+    # Zeros, which the phase oracle turns into -0.0 on both paths.
     states[rng.integers(0, 8, size=states.shape) == 0] = 0.0
-    kernel = _ORACLES[kind][0]
     singles = states.copy()
     for row in singles:
-        kernel(row, f.arity, f.table)
+        run_kernel(kind, row, f.arity, f.table)
     batch = states.copy()
-    kernel(batch, f.arity, f.table)
+    run_kernel(kind, batch, f.arity, f.table)
     assert batch.dtype == singles.dtype == np.float64
     assert batch.tobytes() == singles.tobytes()
     matrix = refsim.ORACLE_MATRIX[kind.value](f.table)
@@ -123,8 +127,8 @@ def test_two_register_kernel_is_the_exact_swap_in_row_blocks(n, tile, k, seed):
     batch, single = states.copy(), states[0].copy()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_TILE", tile)
-        oracles._two_register_kernel(batch, n, table)
-        oracles._two_register_kernel(single, n, table)
+        run_kernel(OracleKind.TWO_REGISTER, batch, n, table)
+        run_kernel(OracleKind.TWO_REGISTER, single, n, table)
     assert batch.tobytes() == expected.tobytes()
     assert single.tobytes() == expected[0].tobytes()
 
@@ -135,8 +139,17 @@ def _expected_by_index(kind, table, n, extra, states):
     v = np.arange(1 << m)
     t = table.astype(np.int64)
     if kind is OracleKind.PHASE:
+        # The sign bit flipped where f(x) = 1 on flag 0; on every non-NaN
+        # entry these are the bytes of the product with -1.0 or 1.0.
         x, flag = v >> (extra + 1), (v >> extra) & 1
-        return states * np.where((t[x] == 1) & (flag == 0), -1.0, 1.0)
+        negate = (t[x] == 1) & (flag == 0)
+        words = states.view(np.uint64) ^ (negate.astype(np.uint64) << np.uint64(63))
+        floats = states.view(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN's product
+            product = floats * np.where(negate, -1.0, 1.0)
+        keep = ~np.isnan(floats)
+        assert words.view(np.float64)[keep].tobytes() == product[keep].tobytes()
+        return words.view(states.dtype)
     if kind is OracleKind.STANDARD_BV:
         flip = t[v >> 1]
     elif kind is OracleKind.TOFFOLI:
@@ -173,11 +186,10 @@ def test_every_kernel_is_its_exact_permutation_or_sign_in_tiles(case):
     states[special == 2] = np.nan
     expected = _expected_by_index(kind, table, n, extra, states)
     batch, single = states.copy(), states[0].copy()
-    kernel = _ORACLES[kind][0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_TILE", tile)
-        kernel(batch, n, table)
-        kernel(single, n, table)
+        run_kernel(kind, batch, n, table)
+        run_kernel(kind, single, n, table)
     assert batch.tobytes() == expected.tobytes()
     assert single.tobytes() == expected[0].tobytes()
 
@@ -197,19 +209,21 @@ def traced_peak(call, *args):
     [OracleKind.STANDARD_BV, OracleKind.TOFFOLI, OracleKind.PHASE, OracleKind.SINGLE_XOR],
 )
 def test_kernel_on_a_20_qubit_state_holds_at_most_two_tiles(kind, monkeypatch, two_cpus):
-    # Masks, differences or signs only: no part of the state is gathered.
-    # At most two tiles per worker: a 20-qubit state walks in one part, a
-    # split-size one in one part at one worker and in two at two.
+    # Masks and, for a swap, differences only: no part of the state is
+    # gathered.  At most two tiles per worker, one for the phase oracle's
+    # negation: a 20-qubit state walks in one part, a split-size one in
+    # one part at one worker and in two at two.
     split = statevector._SPLIT.bit_length() - 1
+    tiles = 1 if kind is OracleKind.PHASE else 2
     for m, threads, parts in ((20, "2", 1), (split, "1", 1), (split, "2", 2)):
         monkeypatch.setenv("BVLAB_THREADS", threads)
         n = m - kind.qubit_count(0)
         table = np.random.default_rng(5).integers(0, 2, 1 << n, dtype=np.uint8)
         amps = np.random.default_rng(6).normal(size=1 << m)
         assert statevector._parts(amps.size) == parts
-        _ORACLES[kind][0](amps, n, table)  # creates the shared pool
-        peak = traced_peak(_ORACLES[kind][0], amps, n, table)
-        assert peak <= parts * 2 * statevector._TILE * 8 + 8192, (m, threads, peak)
+        run_kernel(kind, amps, n, table)  # creates the shared pool
+        peak = traced_peak(run_kernel, kind, amps, n, table)
+        assert peak <= parts * tiles * statevector._TILE * 8 + 8192, (m, threads, peak)
 
 
 def test_two_register_kernel_on_a_21_qubit_state_holds_two_tiles_and_a_table_tile(
@@ -228,9 +242,9 @@ def test_two_register_kernel_on_a_21_qubit_state_holds_two_tiles_and_a_table_til
     for threads, parts in (("1", 1), ("2", 2)):
         monkeypatch.setenv("BVLAB_THREADS", threads)
         amps = start.copy()
-        oracles._two_register_kernel(amps, n, table)  # creates the shared pool
-        oracles._two_register_kernel(amps, n, table)
-        peak = traced_peak(oracles._two_register_kernel, amps, n, table)
+        run_kernel(OracleKind.TWO_REGISTER, amps, n, table)  # creates the shared pool
+        run_kernel(OracleKind.TWO_REGISTER, amps, n, table)
+        peak = traced_peak(run_kernel, OracleKind.TWO_REGISTER, amps, n, table)
         tiles = 2 * statevector._TILE * 8 + statevector._TILE
         assert peak <= parts * tiles + 8192, (threads, peak)
         assert amps.tobytes() == expected.tobytes()
@@ -238,18 +252,22 @@ def test_two_register_kernel_on_a_21_qubit_state_holds_two_tiles_and_a_table_til
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st_.sampled_from([k for k in OracleKind if k is not OracleKind.PHASE]),
+    st_.sampled_from(list(OracleKind)),
     st_.integers(1, 4),
+    st_.integers(0, 2),
     st_.sampled_from([1, 4, 64, oracles._TILE]),
     st_.integers(0, 2**32 - 1),
 )
-def test_flip_kernels_move_nan_payloads_bit_for_bit(kind, n, tile, seed):
-    # Signalling and quiet NaNs keep their payloads and signs, for any tile:
-    # a swap moves words and does no float arithmetic.  The phase kernel is
-    # left out, since its product may quiet a signalling NaN.
+def test_kernels_move_nan_payloads_bit_for_bit(kind, n, extra, tile, seed):
+    # Signalling and quiet NaNs keep their payloads, for any tile: a swap
+    # moves words and a negation flips only the sign bit, exactly where
+    # f(x) = 1 on flag 0, with no float arithmetic.  Only the phase oracle
+    # takes extra trailing qubits.
+    if kind is not OracleKind.PHASE:
+        extra = 0
     rng = np.random.default_rng(seed)
     table = rng.integers(0, 2, size=1 << n).astype(np.uint8)
-    states = rng.normal(size=(2, 1 << kind.qubit_count(n)))
+    states = rng.normal(size=(2, 1 << (kind.qubit_count(n) + extra)))
     words = states.view(np.uint64)
     payloads = np.array(
         [0x7FF0000000000001, 0xFFF800000000DEAD, 0x7FF8000000000000, 0xFFF0000000BEEF01],
@@ -257,30 +275,29 @@ def test_flip_kernels_move_nan_payloads_bit_for_bit(kind, n, tile, seed):
     )
     special = rng.integers(0, 3, size=words.shape) == 0
     words[special] = rng.choice(payloads, size=int(special.sum()))
-    expected = _expected_by_index(kind, table, n, 0, words)
+    expected = _expected_by_index(kind, table, n, extra, words)
     batch, single = states.copy(), states[0].copy()
-    kernel = _ORACLES[kind][0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_TILE", tile)
-        kernel(batch, n, table)
-        kernel(single, n, table)
+        run_kernel(kind, batch, n, table)
+        run_kernel(kind, single, n, table)
     assert batch.view(np.uint64).tobytes() == expected.tobytes()
     assert single.view(np.uint64).tobytes() == expected[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", list(OracleKind))
 def test_dense_matrix_is_one_float64_kernel_call(kind, monkeypatch):
-    kernel, width, structure = _ORACLES[kind]
-    shapes = []
+    kernel = oracles._kernel
+    calls = []
 
-    def counted(amps, n, table):
-        shapes.append(amps.shape)
-        kernel(amps, n, table)
+    def counted(amps, n, table, *plan):
+        calls.append((amps.shape, plan))
+        kernel(amps, n, table, *plan)
 
-    monkeypatch.setitem(_ORACLES, kind, (counted, width, structure))
+    monkeypatch.setattr(oracles, "_kernel", counted)
     matrix = oracle_dense_matrix(kind, bv_function(BitString.parse("101")))
     dim = 1 << kind.qubit_count(3)
-    assert shapes == [(dim, dim)]
+    assert calls == [((dim, dim), _ORACLES[kind][0])]
     assert matrix.dtype == np.float64
 
 

@@ -19,7 +19,7 @@ import refsim
 from bvlab import oracles, statevector
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.errors import DimensionMismatchError, NotDeterministicError
-from bvlab.oracles import OracleKind, oracle_dense_matrix
+from bvlab.oracles import _ORACLES, OracleKind, oracle_dense_matrix
 from bvlab.statevector import (
     DUMP_EPS,
     StateVector,
@@ -271,10 +271,12 @@ def test_layer_threads_match_serial_runs(monkeypatch, two_cpus):
         for m in (MAX_M, split)
     }
 
+    toffoli = _ORACLES[OracleKind.TOFFOLI][0]
+
     def work(st):
         for _ in range(rounds):
             apply_hadamard_layer(st, range(st.qubits))
-            oracles._toffoli_kernel(st.amps, st.qubits - 2, tables[st.qubits])
+            oracles._kernel(st.amps, st.qubits - 2, tables[st.qubits], *toffoli)
         return marginal(st, range(st.qubits - 2))
 
     monkeypatch.setenv("BVLAB_THREADS", "1")
@@ -386,7 +388,8 @@ words[pick == 2] = rng.choice(np.array(nans, dtype=np.uint64), int((pick == 2).s
 for kind in OracleKind:
     n = (m - 1) // 2 if kind is OracleKind.TWO_REGISTER else m - kind.qubit_count(0)
     moved = amps.copy()
-    _ORACLES[kind][0](moved, n, rng.integers(0, 2, 1 << n, dtype=np.uint8))
+    table = rng.integers(0, 2, 1 << n, dtype=np.uint8)
+    oracles._kernel(moved, n, table, *_ORACLES[kind][0])
     print(digest(moved))
 nan_state = StateVector(m, amps)
 print(digest(marginal(nan_state, range(m - 2))), digest(marginal(st, range(m - 2))))
@@ -402,7 +405,6 @@ _WALK_BODIES = {
     "_compare_chunks",
     "_square_chunks",
     "_swap_blocks",
-    "_sign_blocks",
 }
 
 
