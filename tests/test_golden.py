@@ -10,7 +10,9 @@ file only when a change of rounding is intended:
 ``--write`` compares the new outputs with the file first and prints what
 moved.  It writes nothing unless the cases and exit codes are the same,
 the text is the same with numbers masked, every integer is the same and
-every other number moved by at most ``NUMBER_TOL``.
+every other number moved by at most ``NUMBER_TOL``.  So a new case is
+added to ``_cli_cases`` and its entry written into ``golden.json`` by hand,
+from ``_run_cli`` at the commit before the change it pins.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ def _cli_cases() -> dict[str, list[str]]:
     # Exhaustive: all 256 functions of 3 bits, 128 x 128 two-register matrices.
     cases["certify 3"] = ["certify", "--n", "3"]
     cases["certify 4 seed 3"] = ["certify", "--n", "4", "--seed", "3"]
+    # From tolerance 1 on, the structure checks evaluate every matrix dense.
+    cases["certify 3 tol 1"] = ["certify", "--n", "3", "--tolerance", "1"]
+    cases["certify 4 seed 3 tol 1"] = [
+        "certify", "--n", "4", "--seed", "3", "--tolerance", "1"
+    ]
     return cases
 
 
