@@ -69,24 +69,20 @@ sweep's at n = 8 (17 qubits at most), walk in one part on the caller.
 
 The dense-matrix checks read a signed permutation from its nonzeros.
 Every oracle is one: each row and each column of its matrix holds exactly
-one +-1.  ``_signed_permutation`` walks the row blocks once, and when
-every line (row, or column of an F-ordered matrix) holds one finite
-nonzero s at a distinct column, a check takes its verdict from those N
-values, by the formula in its docstring.  These are the dense verdicts
-bit for bit: every entry of M^T M is one product s * s or an exact zero,
-every entry of M - M^T is s - mirror, -s or 0 - 0, and below tol 1 a
-zero is near 0 and never near 1.  So a check reads a signed permutation,
-except that the two structure checks read only for 0 <= tol < 1, and
-evaluates any other matrix dense with no second read.
+one +-1.  A line is a row of M, or of M^T when M is F-ordered, so the
+read and the two structure checks, whose conditions read the same on M
+and M^T, run on a view with contiguous rows.  When every line holds one
+finite nonzero s at a distinct column, a check takes its verdict from
+those N values, by the formula in its docstring.  These are the dense
+verdicts bit for bit: every entry of M^T M is one product s * s or an
+exact zero, every entry of M - M^T is s - mirror, -s or 0 - 0, and below
+tol 1 a zero is near 0 and never near 1.  So a check reads a signed
+permutation, except that the two structure checks read only for
+0 <= tol < 1, and evaluates any other matrix dense with no second read.
 ``check_oracle_matrix`` takes all three of its verdicts from one read,
-which is how ``certify`` checks each oracle matrix.
-
-Dense, the Gram and mirror checks evaluate the whole-matrix expression
-in one matrix-sized temporary.  The structure checks walk row blocks of
-at most ``_TILE`` entries, of M^T when M is F-ordered, since both
-conditions read the same on M and M^T, and stop at the first failing
-block.  Every test has the form "not x <= tol", so a NaN fails it, and
-so does a negative or NaN tol.
+which is how ``certify`` checks each oracle matrix.  The read and every
+dense check are whole-matrix expressions.  Every test has the form
+"not x <= tol", so a NaN fails it, and so does a negative or NaN tol.
 
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
@@ -597,50 +593,26 @@ def _as_square(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def _row_blocks(m: np.ndarray, *dtypes):
-    """Row blocks of at most _TILE entries of m, or of m.T if m is F-ordered.
-
-    Yields (r0, block, *tiles): the block's first row, the block, and one
-    tile of the block's shape per dtype, each a view of a buffer allocated
-    once per walk.  Only for checks whose condition reads the same on M
-    and M^T, so the walk may take whichever of the two holds its rows
-    contiguously.
-    """
-    if m.flags.f_contiguous:
-        m = m.T
-    n = len(m)
-    rows = min(n, max(1, _TILE // n))
-    buffers = [np.empty((rows, n), dtype) for dtype in dtypes]
-    for r0 in range(0, n, rows):
-        block = m[r0 : r0 + rows]
-        yield (r0, block, *(buffer[: len(block)] for buffer in buffers))
-
-
 def _signed_permutation(m: np.ndarray):
     """(index, value) of each line's one nonzero, if m is a signed permutation.
 
-    A line is a row of m, or of m^T when m is F-ordered: one walk of
-    ``_row_blocks`` through one bool tile, filled by a cast, which is x != 0
-    for each entry: unlike np.not_equal, np.copyto allocates no buffer for
-    a strided 2-D operand.  Line i holds value[i] at column index[i].  None
-    unless every line holds exactly one nonzero (NaN and inf count), no two
-    lines share a column, and every value is finite.
+    A line is a row of m, or of m^T when m is F-ordered.  One bool mask of
+    the nonzeros is counted and its argmax taken along each line: line i
+    holds value[i] at column index[i].  None unless every line holds
+    exactly one nonzero (NaN and inf count), no two lines share a column,
+    and every value is finite.
     """
-    n = len(m)
-    index = np.empty(n, np.intp)
-    value = np.empty(n)
-    for r0, block, nonzero in _row_blocks(m, bool):
-        np.copyto(nonzero, block, casting="unsafe")
-        if np.count_nonzero(nonzero) != len(block):
-            return None
-        lines = index[r0 : r0 + len(block)]
-        np.argmax(nonzero, axis=1, out=lines)
-        value[r0 : r0 + len(block)] = block[np.arange(len(block)), lines]
+    lines = m.T if m.flags.f_contiguous else m
+    nonzero = lines != 0
+    if np.count_nonzero(nonzero) != len(m):
+        return None
+    index = np.argmax(nonzero, axis=1)
+    value = lines[np.arange(len(m)), index]
     # argmax gives a line of zeros a zero value; with as many nonzeros as
-    # lines in each block, no zero value leaves exactly one per line.
+    # lines, no zero value leaves exactly one per line.
     if not (value.all() and np.isfinite(value).all()):
         return None
-    taken = np.zeros(n, bool)
+    taken = np.zeros(len(m), bool)
     taken[index] = True
     return (index, value) if taken.all() else None
 
@@ -682,37 +654,33 @@ def _dense_hermitian(m: np.ndarray, tol: float) -> bool:
 
 
 def _dense_permutation(m: np.ndarray, tol: float) -> bool:
-    taken = np.zeros(len(m), dtype=bool)
-    for _, block, d, one in _row_blocks(m, np.float64, bool):
-        np.subtract(block, 1.0, out=d)
-        np.abs(d, out=d)
-        np.less_equal(d, tol, out=one)
-        # Exactly one per row: at least one in each, and no more in all.
-        if np.count_nonzero(one) != len(block) or not one.any(axis=1).all():
-            return False
-        # Then each column has exactly one iff the rows' near-1 columns differ.
-        taken[np.argmax(one, axis=1)] = True
-        # Every entry that is not near 1 must be near 0.
-        np.abs(block, out=d)
-        np.copyto(d, 0.0, where=one)
-        if not d.max() <= tol:
-            return False
-    return bool(taken.all())
+    lines = m.T if m.flags.f_contiguous else m
+    d = np.subtract(lines, 1.0)
+    np.abs(d, out=d)
+    one = d <= tol
+    # Exactly one near-1 per row and per column: N in all, and at least one
+    # in every row and every column.
+    if np.count_nonzero(one) != len(m) or not (
+        one.any(axis=1).all() and one.any(axis=0).all()
+    ):
+        return False
+    # Every entry that is not near 1 must be near 0.
+    np.abs(lines, out=d)
+    np.copyto(d, 0.0, where=one)
+    return bool(d.max() <= tol)
 
 
 def _dense_signed_diagonal(m: np.ndarray, tol: float) -> bool:
-    n = len(m)
-    for r0, block, a in _row_blocks(m, np.float64):
-        np.abs(block, out=a)
-        # a[t, r0 + t] is a's flat entry r0 + t * (n + 1).  Each diagonal d
-        # becomes ||d| - 1|, so one maximum tests both conditions; an
-        # infinite d fails, as d - d is NaN in the whole M - diag(d).
-        diagonal = a.reshape(-1)[r0 :: n + 1]
-        np.subtract(diagonal, 1.0, out=diagonal)
-        np.abs(diagonal, out=diagonal)
-        if not (a.max() <= tol and np.isfinite(diagonal).all()):
-            return False
-    return True
+    lines = m.T if m.flags.f_contiguous else m
+    a = np.abs(lines, order="C")
+    # a is C-ordered, so its diagonal is a view of every (n + 1)th entry.
+    # Each diagonal d becomes ||d| - 1|, so one maximum tests both
+    # conditions; an infinite d fails, as d - d is NaN in the whole
+    # M - diag(d).
+    diagonal = a.reshape(-1)[:: len(m) + 1]
+    np.subtract(diagonal, 1.0, out=diagonal)
+    np.abs(diagonal, out=diagonal)
+    return bool(a.max() <= tol and np.isfinite(diagonal).all())
 
 
 # Each check by name: its verdict from a signed-permutation read, its dense

@@ -113,7 +113,7 @@ def test_kernel_on_a_batch_matches_single_states_and_the_reference(case):
     st_.integers(1, 3),
     st_.integers(0, 2**32 - 1),
 )
-def test_two_register_kernel_is_the_exact_swap_in_row_blocks(n, tile, k, seed):
+def test_two_register_kernel_is_the_exact_swap_at_any_tile(n, tile, k, seed):
     # Blocks of whole states or of x rows, for any tile, give the bits of
     # the whole permutation.
     rng = np.random.default_rng(seed)

@@ -825,7 +825,7 @@ def whole_matrix_verdicts(m, tol):
 
 @st_.composite
 def matrix_check_cases(draw):
-    """A matrix, its tol, and the _TILE to check it with.
+    """A matrix and its tol.
 
     The matrix is a signed permutation, involution, diagonal or
     block-diagonal of 2 x 2 blocks (the oracle shape), all zeros, or a
@@ -885,32 +885,31 @@ def matrix_check_cases(draw):
             view = big[1 : n + 1, 2 : n + 2]  # rows strided, entries adjacent
         view[...] = m
         m = view
-    return m, tol, draw(st_.sampled_from([1, 3, 8]))
+    return m, tol
 
 
 @settings(max_examples=300, deadline=None)
 @given(matrix_check_cases())
-@example((np.array([[1.0, np.nan], [0.0, 1.0]]), 1e-12, 1))
-@example((np.diag([1.0, np.inf, -1.0]), 0.0, 1))  # inf - inf on the diagonal
+@example((np.array([[1.0, np.nan], [0.0, 1.0]]), 1e-12))
+@example((np.diag([1.0, np.inf, -1.0]), 0.0))  # inf - inf on the diagonal
 # An inf at [0, 8] puts 0 * inf = NaN in the Gram entries that pair
 # column 8 with the others.
-@example((np.where(np.arange(81).reshape(9, 9) == 8, np.inf, np.eye(9)), 0.0, 1))
-@example((np.zeros((4, 4)), -1e-12, 1))  # all zeros fail a negative tol
+@example((np.where(np.arange(81).reshape(9, 9) == 8, np.inf, np.eye(9)), 0.0))
+@example((np.zeros((4, 4)), -1e-12))  # all zeros fail a negative tol
 # At tol = inf only a NaN fails: inf - inf on the diagonal of M - diag(d),
 # 0 * inf off the diagonal of the Gram.
-@example((np.diag([1.0, np.inf]), np.inf, 1))
+@example((np.diag([1.0, np.inf]), np.inf))
 # Unit columns that are not orthogonal: only an off-diagonal entry fails.
-@example((np.array([[1.0, 1.0], [0.0, 0.0]]), 1e-12, 1))
-# Two nonzeros in one row and none in the next, in one row block: at tol 2
-# the read would see a unit row, a zero row and a unit row.
-@example((np.array([[0.0, 1.0, 5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), 2.0, 8))
+@example((np.array([[1.0, 1.0], [0.0, 0.0]]), 1e-12))
+# Two nonzeros in one row and none in the next: the read still counts N
+# nonzeros, so it must reject the matrix by the empty row's zero value.
+# Else, at tol 2, it would see a unit row, a zero row and a unit row.
+@example((np.array([[0.0, 1.0, 5.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), 2.0))
 def test_streamed_checks_match_whole_matrix_expressions(case):
-    m, tol, tile = case
+    m, tol = case
     with np.errstate(invalid="ignore", over="ignore"):
         expected = whole_matrix_verdicts(m, tol)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(statevector, "_TILE", tile)
-            got = {name: check(m, tol) for name, check in MATRIX_CHECKS.items()}
+        got = {name: check(m, tol) for name, check in MATRIX_CHECKS.items()}
     assert got == expected
 
 
@@ -924,17 +923,15 @@ def oracle_matrix_verdicts(expected, structure):
 # A permutation that is not diagonal at tol 1 and inf: a zero counts as
 # near 1, so the permutation verdict is False and the signed-diagonal one
 # True, where the read would say the opposite.  Both must take the dense path.
-@example((np.eye(3)[[1, 0, 2]], 1.0, 1), "permutation")
-@example((np.eye(3)[[1, 0, 2]], 1.0, 8), "signed-diagonal")
-@example((np.eye(3)[[1, 0, 2]], np.inf, 1), "permutation")
-@example((np.eye(3)[[1, 0, 2]], np.inf, 8), "signed-diagonal")
+@example((np.eye(3)[[1, 0, 2]], 1.0), "permutation")
+@example((np.eye(3)[[1, 0, 2]], 1.0), "signed-diagonal")
+@example((np.eye(3)[[1, 0, 2]], np.inf), "permutation")
+@example((np.eye(3)[[1, 0, 2]], np.inf), "signed-diagonal")
 def test_oracle_matrix_check_matches_whole_matrix_expressions(case, structure):
-    m, tol, tile = case
+    m, tol = case
     with np.errstate(invalid="ignore", over="ignore"):
         expected = whole_matrix_verdicts(m, tol)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(statevector, "_TILE", tile)
-            got = check_oracle_matrix(m, structure, tol)
+        got = check_oracle_matrix(m, structure, tol)
     assert got == oracle_matrix_verdicts(expected, structure)
 
 
@@ -954,16 +951,16 @@ def test_matrix_checks_allocate_one_buffer():
     assert oracle.shape == (512, 512) and oracle.flags.f_contiguous
 
     def buffer(name, size):
-        rows = statevector._TILE // size
-        # The signed-permutation read: a bool tile, and an index, a value and
-        # a bool per line.  It is freed before any dense buffer is allocated,
-        # so a check holds the read or its dense buffers, never both.
-        read = rows * size + 17 * size
+        # The signed-permutation read: a bool mask, and a few words per
+        # line.  It is freed before any dense buffer is allocated, so a
+        # check holds the read or its dense buffers, never both.
+        read = size * size + 64 * size
         return {
             "unitary": max(size * size * 8, read),  # the Gram matrix
             "hermitian": max(size * size * 8, read),  # M - M^T
-            "permutation": rows * size * 9 + size,  # a float and a bool tile, bools
-            "signed-diagonal": rows * size * 8,
+            # A float and a bool matrix, and a few words per line.
+            "permutation": size * size * 9 + 64 * size,
+            "signed-diagonal": size * size * 8 + 64 * size,  # |M|
         }[name]
 
     def combined(structure):
@@ -1000,7 +997,7 @@ def test_matrix_checks_allocate_one_buffer():
 
 def test_certify_matrices_are_read_as_signed_permutations(monkeypatch):
     # Every oracle matrix certify --n 4 checks, and its transpose, gets its
-    # verdicts from the nonzeros: no dense path, no float row-block tile.
+    # verdicts from the nonzeros: no dense path, no matrix-sized float.
     def refuse(*args):
         raise AssertionError("a signed permutation reached a dense path")
 
@@ -1013,7 +1010,6 @@ def test_certify_matrices_are_read_as_signed_permutations(monkeypatch):
             n = len(layout)
             assert check_unitary(layout) and check_hermitian(layout)
             assert check_oracle_matrix(layout, kind.structure) == (True,) * 3
-            tile = min(n, max(1, statevector._TILE // n)) * n * 8
             for name in ("permutation", "signed-diagonal"):
                 tracemalloc.start()
                 try:
@@ -1023,7 +1019,7 @@ def test_certify_matrices_are_read_as_signed_permutations(monkeypatch):
                 finally:
                     tracemalloc.stop()
                 assert verdict == (name == kind.structure), (kind, name)
-                assert peak < tile, (kind, name, n, peak)
+                assert peak <= n * n + 64 * n + 8192, (kind, name, n, peak)
 
 
 def bent_oracle_matrices(matrix, rng):
