@@ -4,7 +4,9 @@ Commands
   run      execute one pipeline for a planted key or a raw truth table
   certify  dense-matrix checks (unitary, self-adjoint, structure) for all
            five oracle kinds over exhaustive or seeded-random function sets
-  sweep    run every pipeline for every key of a given width, summarize
+  sweep    run every pipeline for every key of a given width, each run
+           starting from its pipeline's first-layer state built once,
+           and summarize
   trace    re-run one pipeline keeping every intermediate state and dump
            each stage next to its closed-form check
 
@@ -43,6 +45,7 @@ from .pipelines import (
     RunReport,
     distribution_table,
     run_all,
+    spread_states,
 )
 from .statevector import _worker_count, check_oracle_matrix, draw, dump_state
 from .truthtable import BooleanFunction, load_table
@@ -308,9 +311,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     workers = _sweep_workers(1 << args.n)
     keys = list(all_bitstrings(args.n))
+    # The first layer's output does not depend on the key: build it once.
+    shared = spread_states(args.n)
 
     def sweep_one(gamma: BitString) -> list[RunReport]:
-        return run_all(gamma, record_stages=False, tol=args.tolerance)
+        return run_all(
+            gamma, record_stages=False, tol=args.tolerance, spread_states=shared
+        )
 
     # map keeps key order, and each run is bit-exact on any thread.
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -23,6 +23,10 @@ entangled state after the flip oracle is a data+control block that
 whole, then the target ket; the pairwise-sign state is the table's sign
 vector S over x, then S 2**-n over y with the target.
 
+The state after the first Hadamard layer depends on the record and n
+alone; ``spread_states`` builds it once, and a run given it as
+spread_state copies it instead of applying that layer (as sweep does).
+
 Register layouts (qubit 0 topmost, most significant):
 
   bva                 n data + 1 target            1 oracle call
@@ -46,7 +50,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .bitstring import BitString
-from .errors import NotDeterministicError
+from .errors import DimensionMismatchError, NotDeterministicError
 from .oracles import OracleKind, apply_oracle
 from .statevector import (
     StateVector,
@@ -79,6 +83,7 @@ __all__ = [
     "run_single_oracle_bva",
     "analyze_bva_on_pi",
     "run_all",
+    "spread_states",
     "ccnot_entanglement_spectrum",
     "distribution_table",
     "ALGORITHMS",
@@ -310,14 +315,21 @@ _PIPELINES = {
 
 
 def _circuit(
-    p: _Pipeline, f: BooleanFunction
+    p: _Pipeline, f: BooleanFunction, spread_state: Optional[StateVector] = None
 ) -> Iterator[tuple[str, tuple, StateVector]]:
-    """Yield (stage, forms, live state) after each layer of the circuit."""
+    """Yield (stage, forms, live state) after each layer of the circuit.
+
+    Given spread_state, the first Hadamard layer's output is copied from
+    it instead of computed; the stages and their checks are the same.
+    """
     n = f.arity
     start = p.start(n)
     state = basis_state(len(start), start)
     yield "initial", (("exact", _initial),), state
-    apply_hadamard_layer(state, range(state.qubits))
+    if spread_state is None:
+        apply_hadamard_layer(state, range(state.qubits))
+    else:
+        np.copyto(state.amps, spread_state.amps)
     yield "after-h-layer", (("exact", _spread),), state
     for kind, stage, forms in p.steps:
         apply_oracle(kind, state, f)
@@ -338,15 +350,22 @@ def _run(
     record_stages: bool,
     keep_states: bool,
     tol: float,
+    spread_state: Optional[StateVector],
 ) -> RunReport:
     """Apply one record's circuit, check each stage if asked, and read out."""
     p = _PIPELINES[algorithm]
     n = f.arity
+    width = len(p.start(n))
+    if spread_state is not None and spread_state.qubits != width:
+        raise DimensionMismatchError(
+            f"spread_state has {spread_state.qubits} qubits, "
+            f"{algorithm} at n={n} runs on {width}"
+        )
     # A view without counting shares the table, so reading the key is no query.
     key = p.read_key(f._view(counting=False)) if record_stages else None
     checks: list[StageCheck] = []
     states: dict[str, StateVector] = {}
-    for stage, forms, state in _circuit(p, f):
+    for stage, forms, state in _circuit(p, f, spread_state):
         if keep_states:
             states[stage] = state.copy()
         if not record_stages:
@@ -381,13 +400,18 @@ def run_bva(
     record_stages: bool = True,
     keep_states: bool = False,
     tol: float = 1e-9,
+    spread_state: Optional[StateVector] = None,
 ) -> RunReport:
     """One-call key recovery with the flip oracle on n+1 qubits.
 
     Prepare |0...0 1>, spread with a full Hadamard layer, apply the flip
     oracle once, undo the layer on the data register, read the key.
+    Given spread_state (see ``spread_states``), the run copies the state
+    after the first layer from it instead of applying the layer; every
+    run_* takes it, and one of the wrong width raises
+    DimensionMismatchError before anything is allocated.
     """
-    return _run("bva", f, record_stages, keep_states, tol)
+    return _run("bva", f, record_stages, keep_states, tol, spread_state)
 
 
 def run_ccnot_bva(
@@ -396,14 +420,15 @@ def run_ccnot_bva(
     record_stages: bool = True,
     keep_states: bool = False,
     tol: float = 1e-9,
+    spread_state: Optional[StateVector] = None,
 ) -> RunReport:
     """Two-call key recovery built from the doubly-controlled flip oracle.
 
     The flip oracle entangles data with the control qubit; the phase oracle
     then turns the entanglement back into a clean sign pattern on the data
-    register.  Both consultations count.
+    register.  Both consultations count.  spread_state is as in run_bva.
     """
-    return _run("ccnot-bva", f, record_stages, keep_states, tol)
+    return _run("ccnot-bva", f, record_stages, keep_states, tol, spread_state)
 
 
 def run_pi(
@@ -412,6 +437,7 @@ def run_pi(
     record_stages: bool = True,
     keep_states: bool = False,
     tol: float = 1e-9,
+    spread_state: Optional[StateVector] = None,
 ) -> RunReport:
     """One-call key recovery for shifted-parity promises on 2n+1 qubits.
 
@@ -420,8 +446,9 @@ def run_pi(
     key readable on the data AND the middle register.  The final Hadamard
     layer therefore covers both registers, so either read-out yields the
     key; the report carries the middle marginal alongside the top one.
+    spread_state is as in run_bva.
     """
-    return _run("pi", f, record_stages, keep_states, tol)
+    return _run("pi", f, record_stages, keep_states, tol, spread_state)
 
 
 def run_single_oracle_bva(
@@ -430,15 +457,18 @@ def run_single_oracle_bva(
     record_stages: bool = True,
     keep_states: bool = False,
     tol: float = 1e-9,
+    spread_state: Optional[StateVector] = None,
 ) -> RunReport:
     """One-call key recovery with the control-xor flip oracle on n+2 qubits.
 
     The oracle xors f(x) xor control into the target, so with the target
     held in the minus state both the data register and the control pick up
     sign patterns; the control collapses to minus while the data register
-    carries the key.
+    carries the key.  spread_state is as in run_bva.
     """
-    return _run("single-oracle-bva", f, record_stages, keep_states, tol)
+    return _run(
+        "single-oracle-bva", f, record_stages, keep_states, tol, spread_state
+    )
 
 
 @dataclass(frozen=True)
@@ -522,20 +552,44 @@ ALGORITHMS = {
 }
 
 
+def spread_states(n: int) -> dict[str, StateVector]:
+    """Each pipeline's state after its first Hadamard layer, at key width n.
+
+    The key enters only through the oracles, so this state is the same for
+    every key; ``run_all`` takes the dict to start every run from a copy.
+    Each array is read-only, so runs on any thread can share it.
+    """
+    zero = bv_function(BitString.zeros(n))
+    states = {}
+    for algorithm in _PIPELINES:
+        state = _state_after(algorithm, zero, "after-h-layer")
+        state.amps.flags.writeable = False
+        states[algorithm] = state
+    return states
+
+
 def run_all(
     gamma: BitString,
     *,
     record_stages: bool = True,
     keep_states: bool = False,
     tol: float = 1e-9,
+    spread_states: Optional[dict[str, StateVector]] = None,
 ) -> list[RunReport]:
-    """Run all four pipelines on the promises planted for one key."""
+    """Run all four pipelines on the promises planted for one key.
+
+    spread_states maps an algorithm to the spread_state its run starts
+    from, as ``spread_states(len(gamma))`` builds them; an algorithm it
+    does not name applies its first layer.
+    """
+    shared = spread_states or {}
     return [
         pipeline(
             make(gamma),
             record_stages=record_stages,
             keep_states=keep_states,
             tol=tol,
+            spread_state=shared.get(name),
         )
-        for pipeline, make in ALGORITHMS.values()
+        for name, (pipeline, make) in ALGORITHMS.items()
     ]

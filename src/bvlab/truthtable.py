@@ -47,11 +47,15 @@ class BooleanFunction:
         *,
         counting: bool = False,
     ) -> None:
-        arr = np.asarray(table, dtype=np.uint8)
+        arr = np.asarray(table)
         if arr.ndim != 1 or arr.size < 2 or (arr.size & (arr.size - 1)) != 0:
             raise ValueError(f"table length must be a power of two >= 2, got {arr.size}")
-        if not np.all(arr <= 1):
+        # Checked before the cast to uint8, which would wrap 257 to 1 and
+        # truncate 0.9 to 0; a uint8 table needs one comparison.
+        valid = arr <= 1 if arr.dtype == np.uint8 else (arr == 0) | (arr == 1)
+        if not np.all(valid):
             raise ValueError("table entries must be 0 or 1")
+        arr = arr.astype(np.uint8, copy=False)
         arity = arr.size.bit_length() - 1
         if arity > MAX_ARITY:
             raise CapacityError(f"arity {arity} exceeds limit {MAX_ARITY}")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bvlab import cli, statevector
+from bvlab import cli, pipelines, statevector
 from bvlab.bitstring import BitString
 from bvlab.oracles import OracleKind
 from bvlab.truthtable import bv_function, dump_table, pi_function
@@ -344,6 +344,20 @@ def test_sweep(capsys):
     assert doc["all_passed"] is True
     assert doc["per_algorithm"]["bva"] == {"successes": 4, "oracle_calls": 4}
     assert doc["per_algorithm"]["ccnot-bva"] == {"successes": 4, "oracle_calls": 8}
+
+
+def test_sweep_applies_each_first_layer_once(capsys, monkeypatch):
+    layer, calls = pipelines.apply_hadamard_layer, []
+
+    def count(state, qubits):
+        calls.append(state.qubits)
+        return layer(state, qubits)
+
+    monkeypatch.setattr(pipelines, "apply_hadamard_layer", count)
+    status, doc = run_json(capsys, "sweep", "--n", "3")
+    assert status == 0 and doc["all_passed"] is True
+    # One first layer per pipeline, then each of the 8 x 4 runs' last layer.
+    assert len(calls) == 4 + 32
 
 
 def test_sweep_cap(capsys):

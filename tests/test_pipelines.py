@@ -1,6 +1,8 @@
 """Pipelines vs the dense reference: every stage, every key, every report."""
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st_
 import refsim
 from bvlab import pipelines, statevector
 from bvlab.bitstring import BitString, all_bitstrings
+from bvlab.errors import DimensionMismatchError
 from bvlab.pipelines import (
     ALGORITHMS,
     analyze_bva_on_pi,
@@ -303,6 +306,84 @@ def test_run_all_order_and_keys():
     ]
     for r in reports:
         assert r.recovered == gamma
+
+
+def _same_bits(a, b):
+    """Two reports agree bit for bit: key, tables, deviations, kept states."""
+    assert (a.recovered, a.failure) == (b.recovered, b.failure)
+    assert a.top_distribution.tobytes() == b.top_distribution.tobytes()
+    assert (a.middle_distribution is None) == (b.middle_distribution is None)
+    if a.middle_distribution is not None:
+        assert a.middle_distribution.tobytes() == b.middle_distribution.tobytes()
+
+    def checks(report):
+        return [(c.stage, c.comparator, float(c.deviation).hex(), c.ok)
+                for c in report.stage_checks]
+
+    assert checks(a) == checks(b)
+    assert list(a.states) == list(b.states)
+    for stage, state in a.states.items():
+        assert state.amps.tobytes() == b.states[stage].amps.tobytes(), stage
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_a_shared_spread_state_gives_the_same_bits(name, n):
+    pipeline, make = ALGORITHMS[name]
+    shared = pipelines.spread_states(n)[name]
+    assert not shared.amps.flags.writeable
+    rng = np.random.default_rng(n)
+    keys = list(all_bitstrings(n)) if n <= 4 else [
+        BitString.of(bits) for bits in rng.integers(0, 2, size=(3, n))
+    ]
+    before = shared.amps.tobytes()
+    for gamma in keys:
+        f = make(gamma)
+        for opts in ({"keep_states": True}, {"record_stages": False}):
+            _same_bits(pipeline(f, **opts), pipeline(f, spread_state=shared, **opts))
+    assert shared.amps.tobytes() == before
+
+
+def test_shared_spread_states_hold_under_thread_contention():
+    # Eight threads switching every 10 us start their runs from the same
+    # read-only arrays; each report matches its serial twin bit for bit.
+    n = 5
+    keys = list(all_bitstrings(n))
+    serial = [run_all(gamma) for gamma in keys]
+    shared = pipelines.spread_states(n)
+    before = {name: state.amps.tobytes() for name, state in shared.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(run_all, gamma, spread_states=shared) for gamma in keys
+            ]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for reports, twins in zip(serial, threaded):
+        assert [r.algorithm for r in reports] == [r.algorithm for r in twins]
+        for a, b in zip(reports, twins):
+            _same_bits(a, b)
+    assert {name: state.amps.tobytes() for name, state in shared.items()} == before
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_a_spread_state_of_the_wrong_width_is_refused_before_allocating(
+    name, monkeypatch
+):
+    pipeline, make = ALGORITHMS[name]
+    f = make(BitString.parse("101"))
+    wrong = [pipelines.spread_states(m)[name] for m in (2, 4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run allocated its state")
+
+    monkeypatch.setattr(pipelines, "basis_state", refuse)
+    for state in wrong:
+        with pytest.raises(DimensionMismatchError, match="spread_state has"):
+            pipeline(f, spread_state=state)
 
 
 def test_constant_one_table_breaks_the_promise_not_the_run():

@@ -29,6 +29,22 @@ def test_table_validation(monkeypatch):
         BooleanFunction([0])  # arity zero
     with pytest.raises(ValueError):
         BooleanFunction([0, 2])
+    # Entries are checked before the uint8 cast, which would wrap or truncate.
+    for bad in (
+        np.array([0, 257]),
+        np.array([0, -255]),
+        [0.9, 1],
+        np.array([0.5, 1.0]),
+        [0, -1],
+        [0, 256],
+        [0, float("nan")],
+    ):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            BooleanFunction(bad)
+    for good in ([0.0, 1.0], [False, True], np.array([0, 1], dtype=np.int64)):
+        assert BooleanFunction(good).table.tolist() == [0, 1]
+    rows = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    assert BooleanFunction(rows[1]).table.base is rows  # a uint8 row is not copied
     assert MAX_ARITY == 24
     # The limit is read at call time, so a lowered one refuses arity 2.
     monkeypatch.setattr(truthtable, "MAX_ARITY", 1)
