@@ -5,8 +5,8 @@ Commands
   certify  dense-matrix checks (unitary, self-adjoint, structure) for all
            five oracle kinds over exhaustive or seeded-random function sets
   sweep    run every pipeline for every key of a given width, each run
-           starting from its pipeline's first-layer state built once,
-           and summarize
+           starting from its register layout's first-layer state, built
+           once, and summarize
   trace    re-run one pipeline keeping every intermediate state and dump
            each stage next to its closed-form check
 

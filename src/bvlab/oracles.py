@@ -2,24 +2,9 @@
 
 Every oracle here is classical on basis labels: it permutes amplitudes (or
 flips their signs) according to a truth-table read, so application costs
-O(2**m) instead of the O(4**m) of a matrix product.  The dense matrix,
-only for verifying unitarity, self-adjointness, and permutation or
-signed-diagonal structure on small registers, is one kernel call on the
-rows of the float64 identity, returned as a transposed view; no copy.
-Its entries are 0, 1 or -1.
-
-All five kinds run one loop, ``_kernel``, in place on the last axis of a
-float64 ``(..., 2**m)`` array, as their ``_ORACLES`` row plans it.  It is
-an xor under a mask per table index on the uint64 view of the
-amplitudes: all ones where a target pair swaps, the sign bit where an
-amplitude is negated (IEEE 754 negation is a quiet flip of that bit).
-So bits move exactly, NaN payloads and signed zeros included, and no
-amplitude is gathered.  The loop walks blocks of at most ``_TILE`` table
-indices, or of whole states when a state is smaller, with one mask tile
-per worker, plus a difference tile for a swap.  From ``_SPLIT``
-amplitudes on, the blocks are cut into one contiguous part per worker
-on ``statevector._walk``; a block is the same ufunc calls whichever
-thread runs it, so the bits do not depend on the worker count.
+O(2**m) instead of the O(4**m) of a matrix product.  The dense matrix
+is only for verifying unitarity, self-adjointness, and permutation or
+signed-diagonal structure on small registers; its entries are 0, 1 or -1.
 
 Register layouts (qubit 0 topmost / most significant):
 
@@ -75,11 +60,14 @@ def _kernel(
     amps: np.ndarray, n: int, table: np.ndarray, flips: tuple[int | None, ...],
     pair: bool, negate: bool,
 ) -> None:
-    # The amplitudes are (states, v, control slice, trailing), v being x,
-    # or with pair the 2n-bit (x, y) read as f(x) ^ f(y); flips[b] is the
-    # read on which slice b acts, or None.  A swap exchanges the trailing
-    # target pair; a negation flips each trailing amplitude: one at the
-    # phase oracle's own width, two in ccnot-bva.
+    # Every kind is an xor on the uint64 view of the amplitudes, under a
+    # mask per table read: all ones where the trailing target pair swaps,
+    # the sign bit where each trailing amplitude (one at the phase oracle's
+    # own width, two in ccnot-bva) is negated; IEEE 754 negation is a quiet
+    # flip of that bit.  So bits move exactly, NaN payloads and signed zeros
+    # included.  The amplitudes are (states, v, control slice, trailing), v
+    # being x, or with pair the 2n-bit (x, y) read as f(x) ^ f(y); flips[b]
+    # is the read on which slice b acts, or None.
     bits = 2 * n if pair else n
     trailing = (amps.shape[-1] >> bits) // len(flips)
     words = amps.view(np.uint64).reshape(-1, 1 << bits, len(flips), trailing)
@@ -183,7 +171,8 @@ def oracle_dense_matrix(kind: OracleKind, f: BooleanFunction) -> np.ndarray:
     """Exact float64 matrix of the oracle, column v = oracle applied to ket v.
 
     Only for verification; capped at DENSE_QUBIT_CAP total qubits.  It is
-    the F-ordered transposed view of the kernel's output rows, not a copy.
+    one kernel call on the rows of the float64 identity, returned as their
+    F-ordered transposed view, not a copy.
     """
     m = kind.qubit_count(f.arity)
     if m > DENSE_QUBIT_CAP:

@@ -7,26 +7,6 @@ hidden key.  Each run returns a RunReport carrying the recovered key, the
 exact output distribution, the oracle-call count, and optional per-stage
 comparisons against closed-form references.
 
-The recipe is written once.  ``_PIPELINES`` holds one record per
-algorithm: its count of n-qubit data registers, its key reader, the
-single-qubit kets that follow the data block after the first Hadamard
-layer and after the last oracle, and its oracle steps with the closed
-forms checked after each.  ``_circuit`` applies a record's layers and
-``_run`` checks each stage, then reads out.  Each reference is the
-product high (x) low of the two factors its closed form lists, or its
-one low factor; ``state_delta`` compares the state with it chunk by
-chunk, so no full-size reference is ever built.  Product states list a
-high factor over the top data bits, if any, and a low factor of at most
-``_TILE`` amplitudes, the low data bits with the trailing kets.  The
-entangled state after the flip oracle is a data+control block that
-``state_delta`` fills chunk by chunk from the truth table, never stored
-whole, then the target ket; the pairwise-sign state is the table's sign
-vector S over x, then S 2**-n over y with the target.
-
-The state after the first Hadamard layer depends on the record and n
-alone; ``spread_states`` builds it once, and a run given it as
-spread_state copies it instead of applying that layer (as sweep does).
-
 Register layouts (qubit 0 topmost, most significant):
 
   bva                 n data + 1 target            1 oracle call
@@ -361,8 +341,8 @@ def _run(
             f"spread_state has {spread_state.qubits} qubits, "
             f"{algorithm} at n={n} runs on {width}"
         )
-    # A view without counting shares the table, so reading the key is no query.
-    key = p.read_key(f._view(counting=False)) if record_stages else None
+    # An uncounted function over the same table: reading the key is no query.
+    key = p.read_key(BooleanFunction._trusted(f.table)) if record_stages else None
     checks: list[StageCheck] = []
     states: dict[str, StateVector] = {}
     for stage, forms, state in _circuit(p, f, spread_state):
@@ -556,15 +536,20 @@ def spread_states(n: int) -> dict[str, StateVector]:
     """Each pipeline's state after its first Hadamard layer, at key width n.
 
     The key enters only through the oracles, so this state is the same for
-    every key; ``run_all`` takes the dict to start every run from a copy.
-    Each array is read-only, so runs on any thread can share it.
+    every key, and pipelines with one register layout (registers, spread)
+    share one array: ccnot-bva's is single-oracle-bva's.  ``run_all`` takes
+    the dict to start every run from a copy.  Each array is read-only, so
+    runs on any thread can share it.
     """
     zero = bv_function(BitString.zeros(n))
+    layouts: dict[tuple[int, str], StateVector] = {}
     states = {}
-    for algorithm in _PIPELINES:
-        state = _state_after(algorithm, zero, "after-h-layer")
-        state.amps.flags.writeable = False
-        states[algorithm] = state
+    for algorithm, p in _PIPELINES.items():
+        layout = (p.registers, p.spread)
+        if layout not in layouts:
+            layouts[layout] = _state_after(algorithm, zero, "after-h-layer")
+            layouts[layout].amps.flags.writeable = False
+        states[algorithm] = layouts[layout]
     return states
 
 
@@ -572,7 +557,6 @@ def run_all(
     gamma: BitString,
     *,
     record_stages: bool = True,
-    keep_states: bool = False,
     tol: float = 1e-9,
     spread_states: Optional[dict[str, StateVector]] = None,
 ) -> list[RunReport]:
@@ -587,7 +571,6 @@ def run_all(
         pipeline(
             make(gamma),
             record_stages=record_stages,
-            keep_states=keep_states,
             tol=tol,
             spread_state=shared.get(name),
         )

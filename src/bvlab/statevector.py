@@ -39,51 +39,6 @@ are fixed for a given ``_TILE``: the same on every run and under any
 BLAS, caller or worker thread count.  ``_TILE`` sets the split and the
 shape of every product, so changing it may change the last bits.
 
-``state_delta`` streams the same way: it compares a state with one
-factor, or with the product high (x) low, writing each ``_TILE`` chunk
-of the product into a tile buffer with the products np.kron would
-compute, so the result is exact and no full-size reference is ever
-allocated.  The high factor may be filled instead of stored (the flip
-oracle's signed pair, which is no Kronecker product).  ``marginal``
-streams too: it squares each chunk into a tile buffer and adds it into
-the 2**k outcome table, with no full-size square and no transposed copy.
-A top register (qubits 0..k-1) whose rows of 2**(m-k) amplitudes fit in
-a tile keeps the bits of a whole-array row sum, which covers the
-read-out of every pipeline's first register up to pi at n = 14; other
-registers, such as pi's middle one, are within 1e-14 with bits fixed by
-``_TILE``.
-
-Split walks: from ``_SPLIT`` amplitudes on, each top run's column chunks,
-the bottom phase's tiles, ``state_delta``'s chunks, the oracle kernels'
-blocks (see ``oracles``) and the chunks of a top register's ``marginal``
-are cut into one contiguous part per worker, min(usable CPUs,
-BVLAB_THREADS) and at most one per tile.  The caller allocates every
-part's buffers, runs part 0 itself and hands the rest to one shared pool,
-created on first use, then waits for them before the next walk.  A chunk
-is the same product or ufunc call on the same shapes whichever thread
-runs it, so no bit depends on the worker count.  A top register whose
-rows fit in a tile gives each chunk its own rows of the outcome table;
-any other register carries its running totals from chunk to chunk, so
-its ``marginal`` walks in order in one part.  Smaller states, such as
-sweep's at n = 8 (17 qubits at most), walk in one part on the caller.
-
-The dense-matrix checks read a signed permutation from its nonzeros.
-Every oracle is one: each row and each column of its matrix holds exactly
-one +-1.  A line is a row of M, or of M^T when M is F-ordered, so the
-read and the two structure checks, whose conditions read the same on M
-and M^T, run on a view with contiguous rows.  When every line holds one
-finite nonzero s at a distinct column, a check takes its verdict from
-those N values, by the formula in its docstring.  These are the dense
-verdicts bit for bit: every entry of M^T M is one product s * s or an
-exact zero, every entry of M - M^T is s - mirror, -s or 0 - 0, and below
-tol 1 a zero is near 0 and never near 1.  So a check reads a signed
-permutation, except that the two structure checks read only for
-0 <= tol < 1, and evaluates any other matrix dense with no second read.
-``check_oracle_matrix`` takes all three of its verdicts from one read,
-which is how ``certify`` checks each oracle matrix.  The read and every
-dense check are whole-matrix expressions.  Every test has the form
-"not x <= tol", so a NaN fails it, and so does a negative or NaN tol.
-
 Tolerance policy: 1e-12 for algebraic identities on freshly built states,
 1e-9 for anything downstream of a full pipeline.
 """
@@ -283,8 +238,10 @@ def _pool() -> ThreadPoolExecutor:
 def _walk(count: int, step, buffers: Sequence) -> None:
     """step(lo, hi, buffer) over [0, count) in one contiguous part per buffer.
 
-    Part 0 runs on the caller and the others on ``_pool()``, created on
-    first use; returns once every part has.
+    The caller allocates every part's buffers.  Part 0 runs on the caller
+    and the others on ``_pool()``, created on first use; returns once every
+    part has.  A step is the same product or ufunc calls on the same shapes
+    whichever thread runs it, so no bit depends on the worker count.
     """
     parts = len(buffers)
     if parts == 1:  # most calls, at small sizes: no bounds, no futures
@@ -406,15 +363,16 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     The amplitudes are a (2**lo, 2**k, 2**r) grid, r the qubits below the
     register; a row is the 2**r amplitudes of one (leading index, outcome)
     pair.  Each ``_TILE`` chunk is squared into a tile buffer, one per
-    worker on a split top register (see the module docstring).  Whole
-    leading blocks inside a chunk are added pairwise onto the first, then
-    each row is added onto its outcome: in sequence when it has fewer than
-    8 entries, else by np.add.reduce along the row (numpy's pairwise
-    order) with the running total carried into its first entry.  So a top
-    register (lo = 0) whose row fits in a tile has the bits of
-    np.add.reduce over the rows of the whole array of squares; any other
-    register is within 1e-14 of the exact sums, with bits fixed by
-    ``_TILE``.  A NaN amplitude makes its outcome NaN.
+    worker on a split top register (see ``_walk``).  Whole leading blocks
+    inside a chunk are added pairwise onto the first, then each row is
+    added onto its outcome: in sequence when it has fewer than 8 entries,
+    else by np.add.reduce along the row (numpy's pairwise order) with the
+    running total carried into its first entry.  So a top register
+    (lo = 0) whose row fits in a tile, as every pipeline's first register
+    does up to pi at n = 14, has the bits of np.add.reduce over the rows
+    of the whole array of squares; any other register is within 1e-14 of
+    the exact sums, with bits fixed by ``_TILE``.  A NaN amplitude makes
+    its outcome NaN.
     """
     sel = _check_qubits(state, qubits)
     if not sel:
@@ -596,11 +554,12 @@ def _as_square(matrix: np.ndarray) -> np.ndarray:
 def _signed_permutation(m: np.ndarray):
     """(index, value) of each line's one nonzero, if m is a signed permutation.
 
-    A line is a row of m, or of m^T when m is F-ordered.  One bool mask of
-    the nonzeros is counted and its argmax taken along each line: line i
-    holds value[i] at column index[i].  None unless every line holds
-    exactly one nonzero (NaN and inf count), no two lines share a column,
-    and every value is finite.
+    A line is a row of m, or of m^T when m is F-ordered, so lines are
+    contiguous; the read and the structure checks ask the same of m and
+    m^T.  One bool mask of the nonzeros is counted and its argmax taken
+    along each line: line i holds value[i] at column index[i].  None
+    unless every line holds exactly one nonzero (NaN and inf count), no
+    two lines share a column, and every value is finite.
     """
     lines = m.T if m.flags.f_contiguous else m
     nonzero = lines != 0
@@ -697,9 +656,15 @@ _CHECKS = {
 def _verdicts(matrix: np.ndarray, tol: float, names: Sequence[str]) -> tuple[bool, ...]:
     """The named checks on one matrix, all from at most one read of it.
 
-    The matrix is read once if any check may use the read; a check that
-    may not, or a matrix that is no signed permutation, goes to its dense
-    path with no second read.
+    Every oracle matrix is a signed permutation: each row and each column
+    holds one +-1.  On one, a check's verdict from the N values s of
+    ``_signed_permutation`` is its dense verdict bit for bit: every entry
+    of M^T M is one product s * s or an exact zero, every entry of M - M^T
+    is s - mirror, -s or 0 - 0, and below tol 1 a zero is near 0 and never
+    near 1.  The matrix is read once if any check may use the read; a check
+    that may not, or a matrix that is no signed permutation, goes to its
+    dense path with no second read.  Every test has the form "not x <=
+    tol", so a NaN fails it, and so does a negative or NaN tol.
     """
     m = _as_square(matrix)
     checks = [_CHECKS[name] for name in names]

@@ -76,25 +76,19 @@ class BooleanFunction:
 
     def with_counting(self) -> "BooleanFunction":
         """Fresh counting-enabled view sharing this table."""
-        return self._view(counting=True)
+        return self._trusted(self.table, counting=True)
 
     @classmethod
-    def _trusted(cls, table: np.ndarray) -> "BooleanFunction":
+    def _trusted(cls, table: np.ndarray, counting: bool = False) -> "BooleanFunction":
         """A function over a uint8 table of 0s and 1s that is not checked.
 
-        Only for tables that are 0/1 by construction, of a power-of-two
-        length from 2 up to 2**MAX_ARITY.
+        Only for tables that are 0/1 by construction, or already checked,
+        of a power-of-two length from 2 up to 2**MAX_ARITY.
         """
         f = object.__new__(cls)
         f.arity, f.table = table.size.bit_length() - 1, table
-        f.counting, f.query_count = False, 0
+        f.counting, f.query_count = counting, 0
         return f
-
-    def _view(self, counting: bool) -> "BooleanFunction":
-        """A fresh view sharing this table, which is not checked again."""
-        view = self._trusted(self.table)
-        view.counting = counting
-        return view
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BooleanFunction):

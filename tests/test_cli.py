@@ -356,8 +356,9 @@ def test_sweep_applies_each_first_layer_once(capsys, monkeypatch):
     monkeypatch.setattr(pipelines, "apply_hadamard_layer", count)
     status, doc = run_json(capsys, "sweep", "--n", "3")
     assert status == 0 and doc["all_passed"] is True
-    # One first layer per pipeline, then each of the 8 x 4 runs' last layer.
-    assert len(calls) == 4 + 32
+    # One first layer per register layout (ccnot-bva and single-oracle-bva
+    # share one), then each of the 8 x 4 runs' last layer.
+    assert len(calls) == 3 + 32
 
 
 def test_sweep_cap(capsys):

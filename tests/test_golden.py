@@ -80,6 +80,13 @@ def _cli_cases() -> dict[str, list[str]]:
     cases["certify 4 seed 3 tol 1"] = [
         "certify", "--n", "4", "--seed", "3", "--tolerance", "1"
     ]
+    # 22 qubits: from _SPLIT amplitudes on, the layers, oracles, compares
+    # and top read-out split between workers.
+    cases["run ccnot-bva 20 bits"] = [
+        "run", "--algorithm", "ccnot-bva", "--gamma", "00101111001011011001"
+    ]
+    # Every run starts from its register layout's shared first layer.
+    cases["sweep 8"] = ["sweep", "--n", "8"]
     return cases
 
 

@@ -344,6 +344,14 @@ def test_a_shared_spread_state_gives_the_same_bits(name, n):
     assert shared.amps.tobytes() == before
 
 
+@pytest.mark.parametrize("n", [1, 8])
+def test_pipelines_with_one_register_layout_share_one_spread_state(n):
+    # ccnot-bva and single-oracle-bva both spread n data qubits then "+-".
+    states = pipelines.spread_states(n)
+    assert states["ccnot-bva"] is states["single-oracle-bva"]
+    assert len({id(state.amps) for state in states.values()}) == 3
+
+
 def test_shared_spread_states_hold_under_thread_contention():
     # Eight threads switching every 10 us start their runs from the same
     # read-only arrays; each report matches its serial twin bit for bit.
