@@ -20,7 +20,10 @@ workers and the workers that split each Hadamard layer, oracle, stage
 compare and top-register read-out on states of 2**21 or more amplitudes;
 both counts are also capped by the usable CPUs, and no document depends
 on them.  Every command refuses a value that is not a positive integer
-with exit 2.
+with exit 2.  On such a state each pipeline run's top read-out consumes
+the state, writing its table into the state's own buffer, so a run peaks
+at one state plus its tiles, never a state and a table (``trace`` also
+keeps a copy of every stage).
 """
 
 from __future__ import annotations

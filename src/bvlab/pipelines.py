@@ -90,6 +90,12 @@ class RunReport:
     recovered is None exactly when the final read-out was not deterministic
     at the run's tolerance; the reason then sits in failure.  states is
     populated only when the run was asked to keep full state copies.
+
+    The top read-out consumes the run's final state (pi reads its middle
+    register first).  On a state of 2**21 or more amplitudes the table is
+    read into the state's own buffer, which then shrinks to it, so a run
+    peaks at one state plus its tiles, not a state plus a table; either
+    way top_distribution owns its 2**n float64s and pins no state.
     """
 
     algorithm: str
@@ -353,8 +359,8 @@ def _run(
         for comparator, form in forms:
             deviation = state_delta(state, *form(p, f, key))
             checks.append(StageCheck(stage, comparator, deviation, deviation <= tol))
-    top = marginal(state, range(n))
     middle = marginal(state, range(n, 2 * n)) if p.registers == 2 else None
+    top = marginal(state, range(n), consume=True)
     try:
         recovered: Optional[BitString] = certain_outcome(top, n, tol)
         failure = None

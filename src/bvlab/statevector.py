@@ -352,7 +352,24 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.qubits + b.qubits, np.kron(a.amps, b.amps))
 
 
-def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+class _Spent:
+    """The amplitudes of a state that ``marginal(..., consume=True)`` took.
+
+    Its buffer may now hold the outcome table, so any use raises.
+    """
+
+    def _refuse(self, *args, **kwargs):
+        raise ValueError("this state was consumed by its read-out")
+
+    __getattr__ = __array__ = __getitem__ = _refuse
+
+
+_SPENT = _Spent()
+
+
+def marginal(
+    state: StateVector, qubits: Sequence[int], *, consume: bool = False
+) -> np.ndarray:
     """Outcome probabilities for measuring the listed qubits.
 
     Returns a table of 2**k probabilities where outcome w collects the
@@ -373,6 +390,17 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     of the whole array of squares; any other register is within 1e-14 of
     the exact sums, with bits fixed by ``_TILE``.  A NaN amplitude makes
     its outcome NaN.
+
+    consume=True spends the state: its amplitudes become a marker that
+    raises on any use.  On a state of at least ``_SPLIT`` amplitudes that
+    owns its writable buffer, a top register whose rows fit in a tile is
+    read into that buffer: each chunk's row sums go into the chunk's own
+    first slots, which it has already squared into its tile, one serial
+    pass moves them to the front, and the buffer shrinks in place to the
+    table (a realloc), so the read-out holds one state plus its tiles,
+    never a state and a table.  The walk and its sums are the ones above,
+    so the bits are too.  Any other consumed read-out allocates its table
+    as usual.  The caller must hold no other reference to the buffer.
     """
     sel = _check_qubits(state, qubits)
     if not sel:
@@ -383,14 +411,33 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     amps = state.amps
     width = amps.size >> (lo + k)
     size = min(_TILE, amps.size)
-    table = np.zeros(1 << k)
     # Chunks of a top register whose rows fit in a tile own disjoint rows
     # of the table, so they may be split; any other register carries its
     # running totals from chunk to chunk in order, in one part.
-    parts = _parts(amps.size) if lo == 0 and width <= size else 1
-    tiles = [np.empty(size) for _ in range(parts)]
+    split = lo == 0 and width <= size
+    in_place = (
+        consume
+        and split
+        and amps.size >= _SPLIT
+        and amps.flags.owndata
+        and amps.flags.writeable
+    )
+    if consume:
+        state.amps = _SPENT
+    table = None if in_place else np.zeros(1 << k)
+    tiles = [np.empty(size) for _ in range(_parts(amps.size) if split else 1)]
     step = functools.partial(_square_chunks, amps, table, width)
     _walk(amps.size // size, step, tiles)
+    if in_place:
+        del step  # resize refuses a buffer another object still holds
+        rows = size // width
+        # Chunk j's sums move to [j * rows, (j + 1) * rows), which ends by
+        # the chunk's own start when rows <= size / 2, so no later chunk's
+        # sums are overwritten and no move overlaps itself.
+        for j in range(1, amps.size // size):
+            amps[j * rows : (j + 1) * rows] = amps[j * size : j * size + rows]
+        amps.resize(1 << k)
+        table = amps
     if sel != sorted(sel):
         # Output bit j, most significant first, is qubit sel[j].
         v = np.arange(table.size)
@@ -402,14 +449,16 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
 
 
 def _square_chunks(
-    amps: np.ndarray, table: np.ndarray, width: int, lo: int, hi: int, tile
+    amps: np.ndarray, table, width: int, lo: int, hi: int, tile
 ) -> None:
     """marginal's chunks lo..hi-1 of tile.size amplitudes, added into table.
 
     width is the length of a row, the amplitudes of one (leading index,
-    outcome) pair.
+    outcome) pair.  A table of None is a consumed top register's: each
+    chunk's sums go into its own first slots, from +0.0 as in a table.
     """
-    size, outcomes = tile.size, table.size
+    size = tile.size
+    outcomes = amps.size // width if table is None else table.size
     # A chunk is (blocks, rows, cols): whole leading blocks of every
     # outcome, a run of rows of one block, or part of one row.
     cols = min(width, size)
@@ -423,8 +472,12 @@ def _square_chunks(
             half //= 2
             squares[:half] += squares[half : 2 * half]
         grid = squares[0].reshape(rows, cols)
-        first = start // width % outcomes
-        total = table[first : first + rows]
+        if table is None:
+            total = chunk[:rows]
+            total.fill(0.0)
+        else:
+            first = start // width % outcomes
+            total = table[first : first + rows]
         # numpy sums fewer than 8 entries in sequence, so the column loop
         # keeps its bits without its per-row overhead.  On a top register
         # the carried total is +0.0, which leaves every sum's bits alone.

@@ -221,6 +221,44 @@ def test_checked_ccnot_run_holds_one_state_and_its_read_out(monkeypatch):
     assert peak <= 8 * (1 << (n + 2)) + 8 * (1 << n) + (1 << n) + tiles, peak
 
 
+def test_split_size_run_reads_out_into_its_state(two_cpus):
+    # At n = 20 bva runs on 21 qubits, the split size, and its top table is
+    # half the state.  The read-out consumes the state's buffer, so after a
+    # warm call (the pool, the layer's blocks) a checked run peaks at the
+    # state plus its tiles and small factors, not the state plus the table.
+    n = 20
+    f = bv_function(BitString.of(np.random.default_rng(3).integers(0, 2, n)))
+    run_bva(f)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_bva(f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.stages_ok() and report.recovered is not None
+    assert peak <= 8 * (1 << (n + 1)) + (2 << 20), peak
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_consumed_read_out_owns_its_table(name, two_cpus):
+    # Each pipeline at the split size: the top table is its own 8 << n
+    # bytes, never a view that pins the state, and has the bits of the
+    # plain read-out of the same final state.
+    pipeline, make = ALGORITHMS[name]
+    n = {"bva": 20, "pi": 10}.get(name, 19)
+    f = make(BitString.of(np.random.default_rng(4).integers(0, 2, n)))
+    report = pipeline(f, record_stages=False)
+    top = report.top_distribution
+    assert report.qubits == statevector._SPLIT.bit_length() - 1
+    assert top.base is None and top.nbytes == 8 << n
+    final = pipelines._state_after(name, f, "final")
+    assert top.tobytes() == statevector.marginal(final, range(n)).tobytes()
+    if name == "pi":
+        middle = statevector.marginal(final, range(n, 2 * n))
+        assert report.middle_distribution.tobytes() == middle.tobytes()
+
+
 def test_pipeline_queries_leave_classical_counter_alone():
     f = bv_function(BitString.parse("110")).with_counting()
     run_ccnot_bva(f)

@@ -264,8 +264,8 @@ def test_layer_threads_match_serial_runs(monkeypatch, two_cpus):
     # pool; its serial bits come from one worker.
     split = statevector._SPLIT.bit_length() - 1
     states.append(signed_zero_state(split, seed=90))
-    # Each round also runs a Toffoli kernel, and a top read-out follows the
-    # last round; both split like the layer.
+    # Each round also runs a Toffoli kernel, and a top read-out of a copy,
+    # consumed, follows the last round; both split like the layer.
     tables = {
         m: np.random.default_rng(m).integers(0, 2, 1 << (m - 2), dtype=np.uint8)
         for m in (MAX_M, split)
@@ -277,7 +277,7 @@ def test_layer_threads_match_serial_runs(monkeypatch, two_cpus):
         for _ in range(rounds):
             apply_hadamard_layer(st, range(st.qubits))
             oracles._kernel(st.amps, st.qubits - 2, tables[st.qubits], *toffoli)
-        return marginal(st, range(st.qubits - 2))
+        return marginal(st.copy(), range(st.qubits - 2), consume=True)
 
     monkeypatch.setenv("BVLAB_THREADS", "1")
     expected = []
@@ -394,6 +394,7 @@ for kind in OracleKind:
 nan_state = StateVector(m, amps)
 print(digest(marginal(nan_state, range(m - 2))), digest(marginal(st, range(m - 2))))
 print(digest(marginal(nan_state, range(10, 20))), digest(marginal(st, range(10, 20))))
+print(digest(marginal(StateVector(m, amps.copy()), range(m - 2), consume=True)))
 print(",".join(sorted(walked)))
 """
 
@@ -423,8 +424,10 @@ def test_split_walks_do_not_change_bits():
     # deviations, against product factors and against ccnot-bva's filled
     # signed pair, each oracle kernel's bytes, NaN payloads included, and
     # the read-outs of a top register and of pi's middle one are the same
-    # for one worker and two.  At two, every walk body runs split, except
-    # marginal's on the middle register, which carries its totals in order.
+    # for one worker and two, and a top register read into its consumed
+    # state's buffer has the bits of the plain read-out on a copy.  At two,
+    # every walk body runs split, except marginal's on the middle register,
+    # which carries its totals in order.
     outputs = []
     for threads in ("1", "2"):
         proc = subprocess.run(
@@ -438,8 +441,9 @@ def test_split_walks_do_not_change_bits():
         outputs.append(proc.stdout.splitlines())
     (one, *serial, none), (two, *split, walked) = outputs
     assert (one, two, none) == ("1", "2", "")
-    assert len(serial) == 13
+    assert len(serial) == 14
     assert serial[3].split()[0] == "16"
+    assert serial[13] == serial[11].split()[0]
     assert serial == split
     assert walk_bodies(statevector, oracles) == _WALK_BODIES
     assert set(walked.split(",")) == _WALK_BODIES
@@ -612,6 +616,49 @@ def test_marginal_allocates_the_output_and_one_tile(lo, k, monkeypatch, two_cpus
         # and, when split, its future.
         bound = table.nbytes + parts * (statevector._TILE * 8 + 4096)
         assert peak <= bound, (m, threads, peak)
+
+
+def test_consuming_read_out_spends_the_state(monkeypatch, two_cpus):
+    # A split-size top register is read into the state's own buffer, which
+    # shrinks to the table; at every size the state is spent, and any later
+    # use raises.  The plain read-out leaves every byte of the state alone.
+    split = statevector._SPLIT.bit_length() - 1
+    for m, threads in ((split, "1"), (split, "2"), (12, "2")):
+        monkeypatch.setenv("BVLAB_THREADS", threads)
+        st = signed_zero_state(m, seed=11)
+        st.amps[77] = np.nan
+        before = st.amps.copy()
+        for k in (m - 1, m - 2, 3):
+            table = marginal(st, range(k))
+            assert same_bits(st.amps, before)
+            spent = StateVector(m, before.copy())
+            eaten = marginal(spent, range(k), consume=True)
+            assert same_bits(eaten, table), (m, threads, k)
+            assert eaten.base is None and eaten.nbytes == 8 << k
+            uses = (
+                lambda: spent.amps.size,
+                lambda: spent.amps[0],
+                lambda: np.asarray(spent.amps),
+                lambda: spent.copy(),
+                lambda: marginal(spent, [0], consume=True),
+                lambda: apply_hadamard_layer(spent, [0]),
+                lambda: state_delta(spent, st),
+                lambda: dump_state(spent),
+            )
+            for use in uses:
+                with pytest.raises(ValueError, match="consumed"):
+                    use()
+    # A split-size buffer the state does not own, or may not write, keeps
+    # its bytes: the consumed read-out allocates its table.
+    st = signed_zero_state(split, seed=12)
+    table = marginal(st, range(split - 2))
+    view = StateVector(split, st.amps.copy()[::1])
+    frozen = StateVector(split, st.amps.copy())
+    frozen.amps.flags.writeable = False
+    for spent in (view, frozen):
+        kept = spent.amps
+        assert same_bits(marginal(spent, range(split - 2), consume=True), table)
+        assert same_bits(kept, st.amps)
 
 
 def test_measure_certain():
