@@ -5,8 +5,8 @@ Commands
   certify  dense-matrix checks (unitary, self-adjoint, structure) for all
            five oracle kinds over exhaustive or seeded-random function sets
   sweep    run every pipeline for every key of a given width, each run
-           starting from its register layout's first-layer state, built
-           once, and summarize
+           starting from a first-layer state built once per start ket,
+           and summarize
   trace    re-run one pipeline keeping every intermediate state and dump
            each stage next to its closed-form check
 
@@ -20,10 +20,8 @@ workers and the workers that split each Hadamard layer, oracle, stage
 compare and top-register read-out on states of 2**21 or more amplitudes;
 both counts are also capped by the usable CPUs, and no document depends
 on them.  Every command refuses a value that is not a positive integer
-with exit 2.  On such a state each pipeline run's top read-out consumes
-the state, writing its table into the state's own buffer, so a run peaks
-at one state plus its tiles, never a state and a table (``trace`` also
-keeps a copy of every stage).
+with exit 2.  Each pipeline run's top read-out consumes its state (see
+``statevector.marginal``); ``trace`` also keeps a copy of every stage.
 """
 
 from __future__ import annotations

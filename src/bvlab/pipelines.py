@@ -7,6 +7,17 @@ hidden key.  Each run returns a RunReport carrying the recovered key, the
 exact output distribution, the oracle-call count, and optional per-stage
 comparisons against closed-form references.
 
+Every run_* takes the truth table and the keyword options of ``_run``,
+whose signature alone sets their defaults:
+
+  record_stages  compare each stage with its closed form
+  keep_states    keep a copy of each stage's state in the report
+  tol            the deviation a stage check and the read-out allow
+  spread_state   the state after the first Hadamard layer, as
+                 ``spread_states`` builds it, copied instead of applying
+                 that layer; one of the wrong width raises
+                 DimensionMismatchError before anything is allocated
+
 Register layouts (qubit 0 topmost, most significant):
 
   bva                 n data + 1 target            1 oracle call
@@ -90,12 +101,8 @@ class RunReport:
     recovered is None exactly when the final read-out was not deterministic
     at the run's tolerance; the reason then sits in failure.  states is
     populated only when the run was asked to keep full state copies.
-
-    The top read-out consumes the run's final state (pi reads its middle
-    register first).  On a state of 2**21 or more amplitudes the table is
-    read into the state's own buffer, which then shrinks to it, so a run
-    peaks at one state plus its tiles, not a state plus a table; either
-    way top_distribution owns its 2**n float64s and pins no state.
+    top_distribution owns its 2**n float64s and pins no state: the top
+    read-out consumes the run's final state (see ``marginal``).
     """
 
     algorithm: str
@@ -333,10 +340,11 @@ def _state_after(algorithm: str, f: BooleanFunction, stop: str) -> StateVector:
 def _run(
     algorithm: str,
     f: BooleanFunction,
-    record_stages: bool,
-    keep_states: bool,
-    tol: float,
-    spread_state: Optional[StateVector],
+    *,
+    record_stages: bool = True,
+    keep_states: bool = False,
+    tol: float = 1e-9,
+    spread_state: Optional[StateVector] = None,
 ) -> RunReport:
     """Apply one record's circuit, check each stage if asked, and read out."""
     p = _PIPELINES[algorithm]
@@ -380,51 +388,26 @@ def _run(
     )
 
 
-def run_bva(
-    f: BooleanFunction,
-    *,
-    record_stages: bool = True,
-    keep_states: bool = False,
-    tol: float = 1e-9,
-    spread_state: Optional[StateVector] = None,
-) -> RunReport:
+def run_bva(f: BooleanFunction, **options) -> RunReport:
     """One-call key recovery with the flip oracle on n+1 qubits.
 
     Prepare |0...0 1>, spread with a full Hadamard layer, apply the flip
     oracle once, undo the layer on the data register, read the key.
-    Given spread_state (see ``spread_states``), the run copies the state
-    after the first layer from it instead of applying the layer; every
-    run_* takes it, and one of the wrong width raises
-    DimensionMismatchError before anything is allocated.
     """
-    return _run("bva", f, record_stages, keep_states, tol, spread_state)
+    return _run("bva", f, **options)
 
 
-def run_ccnot_bva(
-    f: BooleanFunction,
-    *,
-    record_stages: bool = True,
-    keep_states: bool = False,
-    tol: float = 1e-9,
-    spread_state: Optional[StateVector] = None,
-) -> RunReport:
+def run_ccnot_bva(f: BooleanFunction, **options) -> RunReport:
     """Two-call key recovery built from the doubly-controlled flip oracle.
 
     The flip oracle entangles data with the control qubit; the phase oracle
     then turns the entanglement back into a clean sign pattern on the data
-    register.  Both consultations count.  spread_state is as in run_bva.
+    register.  Both consultations count.
     """
-    return _run("ccnot-bva", f, record_stages, keep_states, tol, spread_state)
+    return _run("ccnot-bva", f, **options)
 
 
-def run_pi(
-    f: BooleanFunction,
-    *,
-    record_stages: bool = True,
-    keep_states: bool = False,
-    tol: float = 1e-9,
-    spread_state: Optional[StateVector] = None,
-) -> RunReport:
+def run_pi(f: BooleanFunction, **options) -> RunReport:
     """One-call key recovery for shifted-parity promises on 2n+1 qubits.
 
     The two-register oracle marks each pair (x, y) with the sign of
@@ -432,29 +415,19 @@ def run_pi(
     key readable on the data AND the middle register.  The final Hadamard
     layer therefore covers both registers, so either read-out yields the
     key; the report carries the middle marginal alongside the top one.
-    spread_state is as in run_bva.
     """
-    return _run("pi", f, record_stages, keep_states, tol, spread_state)
+    return _run("pi", f, **options)
 
 
-def run_single_oracle_bva(
-    f: BooleanFunction,
-    *,
-    record_stages: bool = True,
-    keep_states: bool = False,
-    tol: float = 1e-9,
-    spread_state: Optional[StateVector] = None,
-) -> RunReport:
+def run_single_oracle_bva(f: BooleanFunction, **options) -> RunReport:
     """One-call key recovery with the control-xor flip oracle on n+2 qubits.
 
     The oracle xors f(x) xor control into the target, so with the target
     held in the minus state both the data register and the control pick up
     sign patterns; the control collapses to minus while the data register
-    carries the key.  spread_state is as in run_bva.
+    carries the key.
     """
-    return _run(
-        "single-oracle-bva", f, record_stages, keep_states, tol, spread_state
-    )
+    return _run("single-oracle-bva", f, **options)
 
 
 @dataclass(frozen=True)
@@ -541,21 +514,22 @@ ALGORITHMS = {
 def spread_states(n: int) -> dict[str, StateVector]:
     """Each pipeline's state after its first Hadamard layer, at key width n.
 
-    The key enters only through the oracles, so this state is the same for
-    every key, and pipelines with one register layout (registers, spread)
-    share one array: ccnot-bva's is single-oracle-bva's.  ``run_all`` takes
-    the dict to start every run from a copy.  Each array is read-only, so
-    runs on any thread can share it.
+    The layer acts on the start ket |0...0 1> alone, so this state is the
+    same for every key, and pipelines with one start ket share one array:
+    three from n = 2, two at n = 1, where pi's |001> is ccnot-bva's.  So a
+    state of the width a run checks for is the one it needs.  ``run_all``
+    takes the dict to start every run from a copy.  Each array is
+    read-only, so runs on any thread can share it.
     """
     zero = bv_function(BitString.zeros(n))
-    layouts: dict[tuple[int, str], StateVector] = {}
+    built: dict[BitString, StateVector] = {}
     states = {}
     for algorithm, p in _PIPELINES.items():
-        layout = (p.registers, p.spread)
-        if layout not in layouts:
-            layouts[layout] = _state_after(algorithm, zero, "after-h-layer")
-            layouts[layout].amps.flags.writeable = False
-        states[algorithm] = layouts[layout]
+        start = p.start(n)
+        if start not in built:
+            built[start] = _state_after(algorithm, zero, "after-h-layer")
+            built[start].amps.flags.writeable = False
+        states[algorithm] = built[start]
     return states
 
 

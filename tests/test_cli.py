@@ -346,7 +346,8 @@ def test_sweep(capsys):
     assert doc["per_algorithm"]["ccnot-bva"] == {"successes": 4, "oracle_calls": 8}
 
 
-def test_sweep_applies_each_first_layer_once(capsys, monkeypatch):
+@pytest.mark.parametrize("n, layers", [(1, 2 + 8), (3, 3 + 32)])
+def test_sweep_applies_each_first_layer_once(capsys, monkeypatch, n, layers):
     layer, calls = pipelines.apply_hadamard_layer, []
 
     def count(state, qubits):
@@ -354,11 +355,12 @@ def test_sweep_applies_each_first_layer_once(capsys, monkeypatch):
         return layer(state, qubits)
 
     monkeypatch.setattr(pipelines, "apply_hadamard_layer", count)
-    status, doc = run_json(capsys, "sweep", "--n", "3")
+    status, doc = run_json(capsys, "sweep", "--n", str(n))
     assert status == 0 and doc["all_passed"] is True
-    # One first layer per register layout (ccnot-bva and single-oracle-bva
-    # share one), then each of the 8 x 4 runs' last layer.
-    assert len(calls) == 3 + 32
+    # One first layer per start ket (ccnot-bva and single-oracle-bva share
+    # one, and at n = 1 pi's is theirs too), then each of the 2**n x 4
+    # runs' last layer.
+    assert len(calls) == layers
 
 
 def test_sweep_cap(capsys):

@@ -85,7 +85,7 @@ def _cli_cases() -> dict[str, list[str]]:
     cases["run ccnot-bva 20 bits"] = [
         "run", "--algorithm", "ccnot-bva", "--gamma", "00101111001011011001"
     ]
-    # Every run starts from its register layout's shared first layer.
+    # Every run starts from its start ket's shared first layer.
     cases["sweep 8"] = ["sweep", "--n", "8"]
     return cases
 

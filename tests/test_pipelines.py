@@ -1,8 +1,10 @@
 """Pipelines vs the dense reference: every stage, every key, every report."""
 
+import ast
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 import refsim
-from bvlab import pipelines, statevector
+from bvlab import oracles, pipelines, statevector
 from bvlab.bitstring import BitString, all_bitstrings
 from bvlab.errors import DimensionMismatchError
 from bvlab.pipelines import (
@@ -382,12 +384,20 @@ def test_a_shared_spread_state_gives_the_same_bits(name, n):
     assert shared.amps.tobytes() == before
 
 
-@pytest.mark.parametrize("n", [1, 8])
-def test_pipelines_with_one_register_layout_share_one_spread_state(n):
-    # ccnot-bva and single-oracle-bva both spread n data qubits then "+-".
+@pytest.mark.parametrize("n, arrays", [(1, 2), (8, 3)])
+def test_pipelines_with_one_start_ket_share_one_spread_state(n, arrays):
+    # Every record starts from |0...0 1> on its own width, so the first
+    # layer depends on the width alone: at n = 1 pi's 3 qubits are
+    # ccnot-bva's and single-oracle-bva's.
     states = pipelines.spread_states(n)
     assert states["ccnot-bva"] is states["single-oracle-bva"]
-    assert len({id(state.amps) for state in states.values()}) == 3
+    assert (states["pi"] is states["ccnot-bva"]) == (n == 1)
+    assert len({id(state.amps) for state in states.values()}) == arrays
+    for state in states.values():
+        m = state.qubits
+        fresh = basis_state(m, BitString.from_int(m, 1))
+        statevector.apply_hadamard_layer(fresh, range(m))
+        assert fresh.amps.tobytes() == state.amps.tobytes()
 
 
 def test_shared_spread_states_hold_under_thread_contention():
@@ -430,6 +440,78 @@ def test_a_spread_state_of_the_wrong_width_is_refused_before_allocating(
     for state in wrong:
         with pytest.raises(DimensionMismatchError, match="spread_state has"):
             pipeline(f, spread_state=state)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_runner_keeps_its_name_and_refuses_unknown_options(name):
+    # The tracer and the BENCH span keys ("pipelines.run_pi", ...) are
+    # built from these names.
+    run, make = ALGORITHMS[name]
+    assert run.__module__ == "bvlab.pipelines"
+    assert run.__qualname__ == "run_" + name.replace("-", "_")
+    f = make(BitString.parse("10"))
+    with pytest.raises(TypeError):
+        run(f, tolerance=1e-9)
+    with pytest.raises(TypeError):
+        run(f, False)
+
+
+def _kernel_called(*args, **kwargs):
+    raise AssertionError("a closed form went through a gate kernel")
+
+
+# Every way a circuit reaches a gate kernel: the two names the pipelines
+# call and the oracle kernel underneath apply_oracle.
+_GATE_KERNELS = (
+    (pipelines, "apply_oracle"),
+    (pipelines, "apply_hadamard_layer"),
+    (oracles, "_kernel"),
+)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in sorted(ALGORITHMS) for n in (1, 2, 3, 4)] + [("pi", 12)],
+)
+def test_closed_forms_build_from_the_table_without_a_kernel(name, n):
+    # Each stage's closed forms are built with the Hadamard layer and every
+    # oracle kernel patched to raise, then compared with that stage of an
+    # unpatched circuit, so a kernel bug cannot cancel out of its check.
+    p = pipelines._PIPELINES[name]
+    _, make = ALGORITHMS[name]
+    if n <= 4:
+        keys = list(all_bitstrings(n))
+    else:
+        keys = [BitString.of(np.random.default_rng(n).integers(0, 2, size=n))]
+    for gamma in keys:
+        f = make(gamma)
+        for stage, forms, state in pipelines._circuit(p, f):
+            with pytest.MonkeyPatch.context() as patch:
+                for module, kernel in _GATE_KERNELS:
+                    patch.setattr(module, kernel, _kernel_called)
+                key = p.read_key(BooleanFunction._trusted(f.table))
+                for comparator, form in forms:
+                    deviation = state_delta(state, *form(p, f, key))
+                    assert deviation <= 1e-9, (str(gamma), stage, comparator)
+    # Each patch is live: a circuit run through it alone raises.
+    for module, kernel in _GATE_KERNELS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, kernel, _kernel_called)
+            with pytest.raises(AssertionError, match="gate kernel"):
+                pipelines._state_after(name, make(BitString.zeros(1)), "final")
+
+
+def test_refsim_imports_nothing_from_the_package():
+    tree = ast.parse(Path(refsim.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "refsim makes a relative import"
+            modules.add(node.module)
+    assert "numpy" in modules
+    assert not [m for m in modules if m.split(".")[0] == "bvlab"], modules
 
 
 def test_constant_one_table_breaks_the_promise_not_the_run():
